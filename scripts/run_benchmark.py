@@ -2,7 +2,9 @@
 """Run the full synthetic benchmark and print one grade row per matcher family.
 
 Usage:
-    python scripts/run_benchmark.py [--users 8] [--seed 42] [--sigma-between 3.0]
+    python scripts/run_benchmark.py [--users N] [--seed N] [--sigma-between X]
+
+Unset flags take the defaults of `bbauth.synth.GenConfig`.
 """
 
 import argparse
@@ -14,13 +16,14 @@ from bbauth.synth import GenConfig
 
 
 def main() -> int:
+    defaults = GenConfig()
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--users", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--sigma-between", type=float, default=3.0)
-    parser.add_argument("--sigma-within", type=float, default=1.0)
-    parser.add_argument("--alpha", type=float, default=0.5)
-    parser.add_argument("--beta", type=float, default=0.2)
+    parser.add_argument("--users", type=int, default=defaults.n_users)
+    parser.add_argument("--seed", type=int, default=defaults.master_seed)
+    parser.add_argument("--sigma-between", type=float, default=defaults.sigma_between)
+    parser.add_argument("--sigma-within", type=float, default=defaults.sigma_within)
+    parser.add_argument("--alpha", type=float, default=defaults.imitation_alpha)
+    parser.add_argument("--beta", type=float, default=defaults.device_bias_beta)
     args = parser.parse_args()
 
     config = GenConfig(

@@ -6,9 +6,10 @@ inputs and seeds produce bitwise-identical output files, and no command
 mutates its inputs. Omitted paths default into $BBAUTH_DATA_DIR when
 that variable is set.
 
-Configuration files are flat `key = value` text ('#' starts a comment);
-explicit command-line flags override file values, which override
-built-in defaults.
+Configuration files are flat `key = value` text ('#' starts a comment),
+keyed by flag destination (`batch_size`, `alpha`); explicit command-line
+flags override file values, which override the defaults of the library's
+`RunConfig` and `GenConfig`.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
-from .data import DatasetSplit, SplitKind, TaskKind, parse_dataset, serialize_dataset
-from .errors import BBAuthError, MissingScore, NonFiniteScore
+from .data import DatasetSplit, TaskKind, parse_dataset, serialize_dataset
+from .errors import BBAuthError
 from .protocol import (
     build_comparisons,
     comparison_list_from_json,
@@ -72,26 +74,47 @@ def _load_config_file(path: str | None) -> dict[str, str]:
     return values
 
 
-def _resolve(args, file_cfg: dict[str, str], key: str, default, cast):
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        return flag_value
-    if key in file_cfg:
-        return cast(file_cfg[key])
-    return default
+def _setting(args, file_cfg: dict[str, str], dest: str):
+    """The flag's value, else the file's value for the same key cast by the
+    flag's argparse type, else None."""
+    value = getattr(args, dest)
+    if value is None and dest in file_cfg:
+        value = args.casts[dest](file_cfg[dest])
+    return value
+
+
+# `bbauth synth` flags whose destination differs from their GenConfig field
+_SYNTH_FIELDS = {
+    "users": "n_users",
+    "train_users": "n_train_users",
+    "validation_users": "n_validation_users",
+    "alpha": "imitation_alpha",
+    "beta": "device_bias_beta",
+    "seed": "master_seed",
+}
+
+
+def _config_values(args, config_cls, renamed: dict[str, str]) -> dict:
+    """Values for the fields of `config_cls` that a flag or the --config file
+    sets. Fields with no flag, or with neither a flag nor a file value, are
+    left out, so the dataclass default applies."""
+    file_cfg = _load_config_file(args.config)
+    flag_of = {name: dest for dest, name in renamed.items()}
+    values = {}
+    for f in fields(config_cls):
+        dest = flag_of.get(f.name, f.name)
+        if dest in args.casts:
+            value = _setting(args, file_cfg, dest)
+            if value is not None:
+                values[f.name] = value
+    return values
 
 
 def _load_split(path: Path) -> DatasetSplit:
-    text = path.read_text()
     try:
-        declared = json.loads(text).get("split")
-    except json.JSONDecodeError as exc:
-        raise BBAuthError(f"{path}: not valid JSON: {exc}") from None
-    try:
-        kind = SplitKind(declared)
-    except ValueError:
-        raise BBAuthError(f"{path}: unknown split {declared!r}") from None
-    return parse_dataset(text, kind)
+        return parse_dataset(path.read_text())
+    except BBAuthError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _require(path: Path | None, what: str) -> Path | None:
@@ -103,21 +126,7 @@ def _require(path: Path | None, what: str) -> Path | None:
 # --- synth ------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    try:
-        config = GenConfig(
-            n_users=_resolve(args, file_cfg, "users", 8, int),
-            n_train_users=_resolve(args, file_cfg, "train_users", 8, int),
-            n_validation_users=_resolve(args, file_cfg, "validation_users", 4, int),
-            sigma_between=_resolve(args, file_cfg, "sigma_between", 3.0, float),
-            sigma_within=_resolve(args, file_cfg, "sigma_within", 1.0, float),
-            imitation_alpha=_resolve(args, file_cfg, "alpha", 0.5, float),
-            device_bias_beta=_resolve(args, file_cfg, "beta", 0.2, float),
-            master_seed=_resolve(args, file_cfg, "seed", 42, int),
-        )
-    except BBAuthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
+    config = GenConfig(**_config_values(args, GenConfig, _SYNTH_FIELDS))
     out_dir = Path(args.out) if args.out else _data_dir()
     if out_dir is None:
         print("error: --out is required when BBAUTH_DATA_DIR is not set", file=sys.stderr)
@@ -150,7 +159,7 @@ def cmd_comparisons(args) -> int:
     if data_path is None:
         return _EXIT_USAGE
     task = TaskKind(args.task)
-    seed = _resolve(args, file_cfg, "seed", 0, int)
+    seed = _setting(args, file_cfg, "seed") or 0
     split = _load_split(data_path)
     try:
         clist, key = build_comparisons(split, task, seed, args.policy, args.sample_k)
@@ -166,31 +175,11 @@ def cmd_comparisons(args) -> int:
 # --- score --------------------------------------------------------------------
 
 def cmd_score(args) -> int:
-    file_cfg = _load_config_file(args.config)
     data_path = _require(Path(args.data) if args.data else _default_path("evaluation.json"), "--data")
     if data_path is None:
         return _EXIT_USAGE
     clist = comparison_list_from_json(Path(args.comparisons).read_text())
-    try:
-        config = RunConfig(
-            matcher=args.matcher,
-            task=clist.task,
-            seed=_resolve(args, file_cfg, "seed", 0, int),
-            threads=_resolve(args, file_cfg, "threads", 1, int),
-            gamma=_resolve(args, file_cfg, "gamma", 1.0, float),
-            tau=_resolve(args, file_cfg, "tau", None, float),
-            margin=_resolve(args, file_cfg, "margin", 1.0, float),
-            epochs=_resolve(args, file_cfg, "epochs", 50, int),
-            batch_size=_resolve(args, file_cfg, "batch_size", 16, int),
-            learning_rate=_resolve(args, file_cfg, "learning_rate", 0.001, float),
-            target_len=_resolve(args, file_cfg, "target_len", None, int),
-            dwt_length=_resolve(args, file_cfg, "dwt_length", 64, int),
-            dwt_width=_resolve(args, file_cfg, "dwt_width", 8, int),
-            top_k=_resolve(args, file_cfg, "top_k", None, int),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
+    config = RunConfig(args.matcher, clist.task, **_config_values(args, RunConfig, {}))
     split = _load_split(data_path)
     train_split = None
     train_path = Path(args.train) if args.train else _default_path("train.json")
@@ -203,11 +192,7 @@ def cmd_score(args) -> int:
             return _EXIT_CONFIG
         train_split = _load_split(train_path)
     started = time.perf_counter()
-    try:
-        run = score_comparisons(split, clist, config, train_split)
-    except (BBAuthError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
+    run = score_comparisons(split, clist, config, train_split)
     order = [c.comparison_id for c in clist.comparisons]
     Path(args.out).write_text(score_file_to_csv(run.scores, order))
     total = time.perf_counter() - started
@@ -227,10 +212,7 @@ def cmd_grade(args) -> int:
     try:
         scores, warnings = score_file_from_csv(scores_text)
         report = grade(scores, key)
-    except MissingScore as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_GRADING
-    except (NonFiniteScore, BBAuthError) as exc:
+    except BBAuthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_GRADING
     for warning in (*warnings, *report.warnings):
@@ -277,12 +259,18 @@ def cmd_report(args) -> int:
 
 # --- parser ----------------------------------------------------------------------
 
+def _casts(parser: argparse.ArgumentParser) -> dict:
+    """Each typed flag's argparse type by destination, which also casts the
+    --config file value of the same key. In `synth` and `score` the typed
+    flags are exactly the config fields the command lets a user set."""
+    return {a.dest: a.type for a in parser._actions if a.type is not None}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    # Unset flags stay None, so the library's dataclass defaults apply.
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=None, help="master seed")
     shared.add_argument("--config", default=None, help="flat key=value configuration file")
-    shared.add_argument("--threads", type=int, default=None, help="worker threads for scoring")
-    shared.add_argument("--format", choices=("json", "table"), default="table")
 
     parser = argparse.ArgumentParser(prog="bbauth", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -297,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None, help="device bias magnitude")
     p.add_argument("--out", default=None, help="output directory (default: $BBAUTH_DATA_DIR)")
     p.add_argument("--force", action="store_true", help="overwrite an existing output directory")
-    p.set_defaults(handler=cmd_synth)
+    p.set_defaults(handler=cmd_synth, casts=_casts(p))
 
     p = sub.add_parser("comparisons", parents=[shared], help="build a comparison list and key")
     p.add_argument("--data", default=None, help="split document (default: $BBAUTH_DATA_DIR/evaluation.json)")
@@ -306,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-k", dest="sample_k", type=int, default=None)
     p.add_argument("--out-list", dest="out_list", required=True)
     p.add_argument("--out-key", dest="out_key", required=True)
-    p.set_defaults(handler=cmd_comparisons)
+    p.set_defaults(handler=cmd_comparisons, casts=_casts(p))
 
     p = sub.add_parser("score", parents=[shared], help="score a comparison list with one matcher")
     p.add_argument("--data", default=None, help="split document (default: $BBAUTH_DATA_DIR/evaluation.json)")
@@ -324,18 +312,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dwt-length", dest="dwt_length", type=int, default=None)
     p.add_argument("--dwt-width", dest="dwt_width", type=int, default=None)
     p.add_argument("--top-k", dest="top_k", type=int, default=None)
-    p.set_defaults(handler=cmd_score)
+    p.set_defaults(handler=cmd_score, casts=_casts(p))
 
-    p = sub.add_parser("grade", parents=[shared], help="grade a score file against a key")
+    p = sub.add_parser("grade", help="grade a score file against a key")
     p.add_argument("--scores", required=True)
     p.add_argument("--key", required=True)
     p.add_argument("--out-prefix", dest="out_prefix", default=None,
                    help="write <prefix>.json and <prefix>.txt")
+    p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(handler=cmd_grade)
 
-    p = sub.add_parser("report", parents=[shared], help="rank graded submissions")
+    p = sub.add_parser("report", help="rank graded submissions")
     p.add_argument("--entry", action="append", required=True, metavar="TEAM=REPORT.JSON")
     p.add_argument("--out", default=None, help="leaderboard text file")
+    p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(handler=cmd_report)
     return parser
 

@@ -388,13 +388,17 @@ def _check_counts(split: DatasetSplit, warnings: list[str], strict: bool) -> Non
                 )
 
 
-def parse_dataset(document: str | bytes, split_kind: SplitKind, *, strict_counts: bool = False) -> DatasetSplit:
+def parse_dataset(
+    document: str | bytes, split_kind: SplitKind | None = None, *, strict_counts: bool = False
+) -> DatasetSplit:
     """Parse and validate a dataset document.
 
-    Session-level invariants (ordering, ranges, modality/task validity)
-    are enforced and raise; per-device session-count expectations are
-    recorded as warnings unless `strict_counts` is set, so that partial
-    and hand-written documents remain loadable.
+    The document's declared split must equal `split_kind`; with no kind
+    given, the declared one is taken. Session-level invariants
+    (ordering, ranges, modality/task validity) are enforced and raise;
+    per-device session-count expectations are recorded as warnings
+    unless `strict_counts` is set, so that partial and hand-written
+    documents remain loadable.
     """
     if isinstance(document, bytes):
         try:
@@ -414,7 +418,9 @@ def parse_dataset(document: str | bytes, split_kind: SplitKind, *, strict_counts
         declared_kind = SplitKind(declared)
     except ValueError:
         raise SchemaViolation(f"split: unknown split {declared!r}") from None
-    if declared_kind is not split_kind:
+    if split_kind is None:
+        split_kind = declared_kind
+    elif declared_kind is not split_kind:
         raise SchemaViolation(
             f"split: document declares {declared!r} but {split_kind.value!r} was expected"
         )

@@ -2,15 +2,15 @@
 
 Each matcher prepares one artifact per session (template features,
 wavelet image, alignment sequence, or embedding) exactly once, then
-scores comparisons against the cached artifacts. Scoring may fan out
-across worker threads; output order always follows the comparison
-list, and every score lies in [0, 1] with higher meaning more genuine.
+scores comparisons against the cached artifacts, one after another.
+Output order follows the comparison list, and every score is the
+matcher's value clamped to [0, 1], with higher meaning more genuine, so
+a comparison's score never depends on the rest of the list.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,13 +21,7 @@ from .errors import BBAuthError
 from .keystroke import keystroke_score
 from .preprocess import compute_target_lengths, stack_modalities
 from .protocol import ComparisonList
-from .siamese import (
-    TrainConfig,
-    build_pair_set,
-    forward,
-    minmax_postprocess,
-    train,
-)
+from .siamese import TrainConfig, build_pair_set, forward, siamese_score, train
 from .softdtw import SoftDtwCalibration, calibrate, softdtw_score
 from .touch import build_template, session_feature_vectors, template_score
 
@@ -38,20 +32,19 @@ MATCHERS = ("keystroke-ngram", "swipe-template", "dwt-distance", "softdtw", "sia
 class RunConfig:
     matcher: str
     task: TaskKind
-    seed: int = 0
-    threads: int = 1
+    seed: int = TrainConfig.seed
     # softdtw; 0.05 keeps the smoothed minimum sharp on [0,1]-scaled features
     gamma: float = 0.05
     tau: float | None = None  # calibrated from the training split when None
     # siamese
-    margin: float = 1.0
-    epochs: int = 50
-    batch_size: int = 16
-    learning_rate: float = 0.001
+    margin: float = TrainConfig.margin
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
     target_len: int | None = None  # stacking length; from training averages when None
     # dwt
-    dwt_length: int = 64
-    dwt_width: int = 8
+    dwt_length: int = DwtImageConfig.length
+    dwt_width: int = DwtImageConfig.width
     # keystroke
     top_k: int | None = None
 
@@ -122,8 +115,6 @@ class _SoftDtwMatcher:
 
 
 class _SiameseMatcher:
-    postprocess = staticmethod(minmax_postprocess)
-
     def __init__(self, config: RunConfig, train_split: DatasetSplit | None):
         if train_split is None:
             raise ValueError("siamese needs a training split")
@@ -154,8 +145,7 @@ class _SiameseMatcher:
         return forward(self.params, self._features(session), "infer")
 
     def score(self, enroll, verify) -> float:
-        d = float(np.mean([np.linalg.norm(e - verify) for e in enroll]))
-        return float(np.exp(-d))
+        return siamese_score(enroll, verify)
 
 
 _MATCHER_CLASSES = {
@@ -203,28 +193,18 @@ def score_comparisons(
     artifacts = {sid: matcher.prepare(sessions[sid]) for sid in needed}
     t_prepare = time.perf_counter() - t0
 
-    def one(comparison) -> float:
-        enroll = [artifacts[sid] for sid in comparison.enrollment_session_ids]
-        try:
-            return matcher.score(enroll, artifacts[comparison.verification_session_id])
-        except BBAuthError as exc:
-            raise type(exc)(f"comparison {comparison.comparison_id!r}: {exc}") from None
-
     t0 = time.perf_counter()
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            values = list(pool.map(one, comparison_list.comparisons))
-    else:
-        values = [one(c) for c in comparison_list.comparisons]
+    scores: dict[str, float] = {}
+    for c in comparison_list.comparisons:
+        enroll = [artifacts[sid] for sid in c.enrollment_session_ids]
+        try:
+            value = matcher.score(enroll, artifacts[c.verification_session_id])
+        except BBAuthError as exc:
+            raise type(exc)(f"comparison {c.comparison_id!r}: {exc}") from None
+        scores[c.comparison_id] = min(max(float(value), 0.0), 1.0)
     t_score = time.perf_counter() - t0
-
-    postprocess = getattr(matcher, "postprocess", None)
-    if postprocess is not None:
-        values = postprocess(values)
-    values = [min(max(float(v), 0.0), 1.0) for v in values]
-    scores = {c.comparison_id: v for c, v in zip(comparison_list.comparisons, values)}
     return ScoreRun(
         scores,
         {"setup_s": t_setup, "prepare_s": t_prepare, "score_s": t_score,
-         "comparisons": float(len(values))},
+         "comparisons": float(len(comparison_list.comparisons))},
     )

@@ -10,8 +10,6 @@ single-threaded and bitwise deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,30 +297,15 @@ def train(pairs: PairSet, config: TrainConfig, params: NetworkParams | None = No
     return TrainResult(params, losses)
 
 
-def siamese_score(params: NetworkParams, enroll_samples, verify_sample) -> float:
+def siamese_score(enroll_embeddings, verify_embedding) -> float:
     """exp(-d) where d is the mean Euclidean distance from the verify
-    embedding to the enrollment embeddings (infer mode)."""
-    enroll = np.asarray(enroll_samples, dtype=float)
-    if enroll.ndim == 1:
-        enroll = enroll.reshape(1, -1)
-    e_enroll = forward(params, enroll, "infer")
-    e_verify = forward(params, np.asarray(verify_sample, dtype=float), "infer")
-    d = float(np.linalg.norm(e_enroll - e_verify, axis=1).mean())
+    embedding to the enrollment embeddings (each from infer-mode
+    :func:`forward`); lies in [0, 1]."""
+    d = float(np.mean([np.linalg.norm(e - verify_embedding) for e in enroll_embeddings]))
     return float(np.exp(-d))
 
 
-def minmax_postprocess(scores) -> list[float]:
-    """Order-preserving MinMax of a score batch; constant batches map to 0.5."""
-    arr = np.asarray(list(scores), dtype=float)
-    if arr.size == 0:
-        raise ValueError("need at least one score")
-    lo, hi = arr.min(), arr.max()
-    if hi == lo:
-        return [0.5] * arr.size
-    return list((arr - lo) / (hi - lo))
-
-
-# --- pair construction and checkpoints -----------------------------------
+# --- pair construction ----------------------------------------------------
 
 def build_pair_set(
     samples_by_subject: dict[str, list[np.ndarray]],
@@ -352,46 +335,3 @@ def build_pair_set(
     return PairSet(np.array(a_rows, dtype=float), np.array(b_rows, dtype=float),
                    np.array(labels, dtype=int))
 
-
-_CHECKPOINT_VERSION = 1
-
-
-def config_hash(config: TrainConfig) -> str:
-    payload = json.dumps(vars(config), sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()
-
-
-def save_checkpoint(params: NetworkParams, path, config: TrainConfig | None = None) -> None:
-    arrays = {
-        "version": np.array([_CHECKPOINT_VERSION]),
-        "seed": np.array([params.seed]),
-        "n_layers": np.array([len(params.weights)]),
-        "bn_scale": params.bn_scale,
-        "bn_shift": params.bn_shift,
-        "bn_mean": params.bn_mean,
-        "bn_var": params.bn_var,
-    }
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        arrays[f"w{i}"] = w
-        arrays[f"b{i}"] = b
-    if config is not None:
-        arrays["config_hash"] = np.frombuffer(bytes.fromhex(config_hash(config)), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def load_checkpoint(path) -> NetworkParams:
-    with np.load(path) as data:
-        version = int(data["version"][0])
-        if version != _CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        n_layers = int(data["n_layers"][0])
-        return NetworkParams(
-            [data[f"w{i}"] for i in range(n_layers)],
-            [data[f"b{i}"] for i in range(n_layers)],
-            data["bn_scale"],
-            data["bn_shift"],
-            data["bn_mean"],
-            data["bn_var"],
-            int(data["seed"][0]),
-        )

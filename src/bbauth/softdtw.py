@@ -89,7 +89,7 @@ def alignment_cost_table(x, y, gamma: float | None = None) -> np.ndarray:
     return table
 
 
-def soft_dtw(x, y, gamma: float = 1.0) -> float:
+def soft_dtw(x, y, gamma: float) -> float:
     """Soft alignment cost; approaches :func:`dtw` from below as gamma -> 0."""
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
@@ -127,15 +127,17 @@ def softdtw_score(
     enroll_sessions: list[Session],
     verify_session: Session,
     task: TaskKind,
-    gamma: float = 1.0,
-    tau: float = 1.0,
+    gamma: float,
+    tau: float,
     scale: FeatureScale | None = None,
 ) -> float:
     """exp(-d/tau) where d is the smallest soft alignment cost between the
     verify sequence and any enrollment sequence, floored at 0.
 
-    Feature dimensions are MinMax-scaled so the default gamma of 1.0 is
-    meaningful: with a training-fitted `scale` (see
+    Feature dimensions are MinMax-scaled to [0, 1], so a gamma small next
+    to the per-step cost (see `RunConfig.gamma`) keeps d close to the
+    hard alignment cost; a large gamma can drive d below 0, where the
+    floor maps the comparison to 1. With a training-fitted `scale` (see
     :func:`calibrate`) the scaling is the same for every comparison;
     without one it falls back to the pooled rows of the compared
     sequences. `tau` should come from the same calibration.
@@ -156,7 +158,7 @@ class SoftDtwCalibration:
     scale: FeatureScale
 
 
-def calibrate(train_split: DatasetSplit, task: TaskKind, gamma: float = 1.0) -> SoftDtwCalibration:
+def calibrate(train_split: DatasetSplit, task: TaskKind, gamma: float) -> SoftDtwCalibration:
     """Fit the feature scale on all training sequences of the task and
     set tau to the median soft alignment cost over same-subject pairs."""
     by_subject: dict[str, list[np.ndarray]] = {}
@@ -179,7 +181,3 @@ def calibrate(train_split: DatasetSplit, task: TaskKind, gamma: float = 1.0) -> 
     if not distances:
         raise EmptySequence(f"no genuine pairs for task {task.value!r} in the training split")
     return SoftDtwCalibration(max(median(distances), 1e-9), scale)
-
-
-def calibrate_tau(train_split: DatasetSplit, task: TaskKind, gamma: float = 1.0) -> float:
-    return calibrate(train_split, task, gamma).tau

@@ -1,8 +1,14 @@
 import json
+from dataclasses import asdict, fields
 
 import pytest
 
-from bbauth.cli import main
+from bbauth.benchmark import FAMILY_TASKS
+from bbauth.cli import _SYNTH_FIELDS, _build_parser, main
+from bbauth.data import parse_dataset
+from bbauth.protocol import comparison_list_from_json, score_file_to_csv
+from bbauth.runner import RunConfig, score_comparisons
+from bbauth.synth import GenConfig
 
 TINY_ARGS = ["--users", "2", "--train-users", "2", "--val-users", "2", "--seed", "7"]
 
@@ -120,17 +126,57 @@ def test_score_matcher_task_mismatch(synth_dir, tmp_path):
     assert code == 4
 
 
-def test_score_threads_match_single(synth_dir, tmp_path):
-    single = tmp_path / "single.csv"
-    threaded = tmp_path / "threaded.csv"
-    base = [
+@pytest.mark.parametrize("matcher, task", FAMILY_TASKS, ids=[m for m, _ in FAMILY_TASKS])
+def test_score_defaults_match_library(synth_dir, tmp_path, matcher, task):
+    comparisons = synth_dir / f"comparisons_evaluation_{task.value}.json"
+    out = tmp_path / "scores.csv"
+    assert main([
         "score", "--data", str(synth_dir / "evaluation.json"),
-        "--comparisons", str(synth_dir / "comparisons_evaluation_gallery.json"),
-        "--matcher", "swipe-template",
-    ]
-    assert main([*base, "--out", str(single)]) == 0
-    assert main([*base, "--out", str(threaded), "--threads", "4"]) == 0
-    assert single.read_bytes() == threaded.read_bytes()
+        "--train", str(synth_dir / "train.json"), "--comparisons", str(comparisons),
+        "--matcher", matcher, "--out", str(out),
+    ]) == 0
+    clist = comparison_list_from_json(comparisons.read_text())
+    run = score_comparisons(
+        parse_dataset((synth_dir / "evaluation.json").read_text()),
+        clist,
+        RunConfig(matcher, clist.task),
+        parse_dataset((synth_dir / "train.json").read_text()),
+    )
+    order = [c.comparison_id for c in clist.comparisons]
+    assert out.read_text() == score_file_to_csv(run.scores, order)
+
+
+def _manifest_config(config: GenConfig) -> dict:
+    expected = asdict(config)
+    expected["tasks"] = [t.value for t in expected["tasks"]]
+    return expected
+
+
+def test_synth_defaults_match_gen_config(tmp_path):
+    assert main(["synth", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"] == _manifest_config(GenConfig())
+
+
+def test_synth_config_file_values_map_to_fields(tmp_path):
+    config = tmp_path / "gen.cfg"
+    config.write_text("users = 2\ntrain_users = 2\nvalidation_users = 2\nalpha = 0.25\nseed = 3\n")
+    out = tmp_path / "data"
+    assert main(["synth", "--config", str(config), "--users", "3", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == _manifest_config(GenConfig(
+        n_users=3, n_train_users=2, n_validation_users=2, imitation_alpha=0.25, master_seed=3,
+    ))
+
+
+def test_every_config_field_has_a_flag():
+    parser = _build_parser()
+    score = parser.parse_args(["score", "--comparisons", "c", "--matcher", "softdtw", "--out", "o"])
+    assert set(score.casts) == {f.name for f in fields(RunConfig)} - {"matcher", "task"}
+    synth = parser.parse_args(["synth"])
+    mapped = [_SYNTH_FIELDS.get(dest, dest) for dest in synth.casts]
+    assert len(set(mapped)) == len(mapped)
+    assert set(mapped) <= {f.name for f in fields(GenConfig)}
 
 
 def test_grade_perfect_and_constant(synth_dir, tmp_path):
@@ -241,6 +287,14 @@ def test_malformed_inputs_exit_4(synth_dir, tmp_path):
         "--out", str(tmp_path / "s.csv"),
     ])
     assert code == 4
+    unknown_split = tmp_path / "unknown.json"
+    unknown_split.write_text('{"split": "holdout", "sessions": []}')
+    for data in (broken, unknown_split):
+        assert main([
+            "score", "--data", str(data),
+            "--comparisons", str(synth_dir / "comparisons_evaluation_gallery.json"),
+            "--matcher", "swipe-template", "--out", str(tmp_path / "s.csv"),
+        ]) == 4
     scores = tmp_path / "scores.csv"
     scores.write_text("comparison_id,score\nc000000,0.5\n")
     assert main(["grade", "--scores", str(scores), "--key", str(broken)]) == 4

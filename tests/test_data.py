@@ -82,6 +82,15 @@ def test_parse_wrong_split_declared():
         parse_dataset(MINIMAL_DOC, SplitKind.Evaluation)
 
 
+def test_parse_takes_declared_split_when_no_kind_given():
+    assert parse_dataset(MINIMAL_DOC).split_kind is SplitKind.Train
+    for bad in ("holdout", 3):
+        doc = json.loads(MINIMAL_DOC)
+        doc["split"] = bad
+        with pytest.raises(SchemaViolation, match="split"):
+            parse_dataset(json.dumps(doc))
+
+
 def test_parse_subject_id_forbidden_outside_train():
     doc = json.loads(MINIMAL_DOC)
     doc["split"] = "evaluation"

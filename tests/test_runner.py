@@ -42,17 +42,6 @@ def test_scores_cover_list_in_order(tiny_generated):
     assert 0.0 <= report.auc_mixed <= 100.0
 
 
-def test_threaded_scores_match_sequential(tiny_generated):
-    clist, _ = tiny_generated.keys[(SplitKind.Evaluation, TaskKind.Tapping)]
-    sequential = score_comparisons(
-        tiny_generated.evaluation, clist, RunConfig("dwt-distance", TaskKind.Tapping)
-    )
-    threaded = score_comparisons(
-        tiny_generated.evaluation, clist, RunConfig("dwt-distance", TaskKind.Tapping, threads=4)
-    )
-    assert sequential.scores == threaded.scores
-
-
 def test_score_errors_name_the_comparison(tiny_generated):
     import dataclasses
 
