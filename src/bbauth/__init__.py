@@ -2,15 +2,12 @@
 
 from .data import (
     DatasetSplit,
-    KeystrokeEvent,
     ModalityKind,
-    SensorSample,
     Session,
     SessionRole,
     SplitKind,
-    Stroke,
     TaskKind,
-    TouchEvent,
+    make_stream,
     parse_dataset,
     serialize_dataset,
     slice_strokes,
@@ -25,19 +22,16 @@ __all__ = [
     "DatasetSplit",
     "GenConfig",
     "KeyFile",
-    "KeystrokeEvent",
     "ModalityKind",
-    "SensorSample",
     "Session",
     "SessionRole",
     "SplitKind",
-    "Stroke",
     "TaskKind",
-    "TouchEvent",
     "auc",
     "build_comparisons",
     "generate_dataset",
     "grade",
+    "make_stream",
     "parse_dataset",
     "rank",
     "serialize_dataset",

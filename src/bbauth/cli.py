@@ -9,7 +9,7 @@ that variable is set.
 Configuration files are flat `key = value` text ('#' starts a comment),
 keyed by flag destination (`batch_size`, `alpha`); explicit command-line
 flags override file values, which override the defaults of the library's
-`RunConfig` and `GenConfig`.
+`RunConfig` and `GenConfig`. A key the command does not read is an error.
 """
 
 from __future__ import annotations
@@ -59,7 +59,9 @@ def _default_path(name: str) -> Path | None:
     return base / name if base else None
 
 
-def _load_config_file(path: str | None) -> dict[str, str]:
+def _load_config_file(path: str | None, keys) -> dict[str, str]:
+    """The file's `key = value` pairs; a key outside `keys`, the ones the
+    command reads, is an error."""
     if not path:
         return {}
     values: dict[str, str] = {}
@@ -69,8 +71,12 @@ def _load_config_file(path: str | None) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in keys:
+            raise ValueError(
+                f"{path}:{lineno}: unknown key {key!r}; expected one of {', '.join(sorted(keys))}"
+            )
+        values[key] = value
     return values
 
 
@@ -98,7 +104,7 @@ def _config_values(args, config_cls, renamed: dict[str, str]) -> dict:
     """Values for the fields of `config_cls` that a flag or the --config file
     sets. Fields with no flag, or with neither a flag nor a file value, are
     left out, so the dataclass default applies."""
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _load_config_file(args.config, args.casts)
     flag_of = {name: dest for dest, name in renamed.items()}
     values = {}
     for f in fields(config_cls):
@@ -154,7 +160,7 @@ def cmd_synth(args) -> int:
 # --- comparisons --------------------------------------------------------------
 
 def cmd_comparisons(args) -> int:
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _load_config_file(args.config, {"seed"})
     data_path = _require(Path(args.data) if args.data else _default_path("evaluation.json"), "--data")
     if data_path is None:
         return _EXIT_USAGE

@@ -13,9 +13,13 @@ A dataset document is UTF-8 JSON::
                     "gyroscope": [...], "magnetometer": [...],
                     "linear_accelerometer": [...], "gravity": [...]}}]}
 
-Timestamps are integer milliseconds, coordinates decimal fractions.
-Unknown keys are ignored with a warning. All types in this module are
-immutable after construction and safe to share across threads.
+Timestamps are integer milliseconds up to 2**53, coordinates decimal
+fractions. Unknown keys are ignored with a warning.
+
+A session holds each stream as one read-only (n, k) float64 array whose
+columns keep the document's row order; `STREAM_COLUMNS` names them and
+the `COL_*` constants index them. All types in this module are immutable
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvariantViolation, MalformedDocument, SchemaViolation
 
@@ -71,26 +77,41 @@ class SplitKind(enum.Enum):
     Evaluation = "evaluation"
 
 
-@dataclass(frozen=True)
-class KeystrokeEvent:
-    timestamp: int
-    ascii_code: int
+#: Column names of each modality's stream array, in the document's row order.
+STREAM_COLUMNS: dict[ModalityKind, tuple[str, ...]] = {
+    ModalityKind.Keystroke: ("t", "ascii"),
+    ModalityKind.Touch: ("t", "x", "y", "action"),  # action 0 = finger down, 1 = up, 2 = move
+    **{sensor: ("t", "x", "y", "z") for sensor in BACKGROUND_SENSORS},
+}
+
+#: Column indices into the stream arrays.
+COL_T = 0
+COL_ASCII = 1
+COL_X = 1
+COL_Y = 2
+COL_ACTION = 3
+COL_Z = 3
+
+#: Columns that hold integers (JSON integers in a document).
+INTEGER_COLUMNS = frozenset({"t", "ascii", "action"})
 
 
-@dataclass(frozen=True)
-class TouchEvent:
-    timestamp: int
-    x: float
-    y: float
-    action: int  # 0 = finger down, 1 = finger up, 2 = move
+def make_stream(modality: ModalityKind, rows) -> np.ndarray:
+    """A read-only (n, k) float64 copy of `rows`, in `STREAM_COLUMNS` order.
+
+    No rows give a (0, k) array.
+    """
+    width = len(STREAM_COLUMNS[modality])
+    stream = np.array(rows, dtype=np.float64)
+    if stream.size == 0:
+        stream = stream.reshape(0, width)
+    if stream.ndim != 2 or stream.shape[1] != width:
+        raise ValueError(f"a {modality.value} stream has {width} columns, not shape {stream.shape}")
+    stream.flags.writeable = False
+    return stream
 
 
-@dataclass(frozen=True)
-class SensorSample:
-    timestamp: int
-    x: float
-    y: float
-    z: float
+_EMPTY_STREAMS = {modality: make_stream(modality, []) for modality in ModalityKind}
 
 
 def valid_modalities(task: TaskKind) -> frozenset[ModalityKind]:
@@ -105,19 +126,45 @@ def valid_modalities(task: TaskKind) -> frozenset[ModalityKind]:
     return base
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Session:
-    """All event streams for one subject performing one task once."""
+    """All event streams for one subject performing one task once.
+
+    Each stream is a read-only array from :func:`make_stream`. Sessions
+    are equal when their fields are and their streams are bitwise equal.
+    """
 
     session_id: str
     device_id: str
     task: TaskKind
     role: SessionRole
-    streams: dict[ModalityKind, tuple]
+    streams: dict[ModalityKind, np.ndarray]
     subject_id: str | None = None  # present only in the training split
 
-    def stream(self, modality: ModalityKind) -> tuple:
-        return self.streams.get(modality, ())
+    def __post_init__(self) -> None:
+        for modality, stream in self.streams.items():
+            if not (
+                isinstance(stream, np.ndarray)
+                and stream.dtype == np.float64
+                and stream.ndim == 2
+                and stream.shape[1] == len(STREAM_COLUMNS[modality])
+                and not stream.flags.writeable
+            ):
+                raise ValueError(f"streams.{modality.value}: expected an array from make_stream")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Session):
+            return NotImplemented
+        return (
+            (self.session_id, self.device_id, self.task, self.role, self.subject_id)
+            == (other.session_id, other.device_id, other.task, other.role, other.subject_id)
+            and self.streams.keys() == other.streams.keys()
+            and all(np.array_equal(s, other.streams[m]) for m, s in self.streams.items())
+        )
+
+    def stream(self, modality: ModalityKind) -> np.ndarray:
+        """The modality's stream; an empty (0, k) array when it is absent."""
+        return self.streams.get(modality, _EMPTY_STREAMS[modality])
 
 
 @dataclass(frozen=True)
@@ -141,61 +188,41 @@ class DatasetSplit:
 
 
 @dataclass(frozen=True)
-class Stroke:
-    """Touch events from one finger-down (action 0) to the next finger-up (1)."""
-
-    events: tuple[TouchEvent, ...]
-
-    def __post_init__(self) -> None:
-        ev = self.events
-        if len(ev) < 2 or ev[0].action != 0 or ev[-1].action != 1:
-            raise ValueError("stroke must run from action 0 to action 1")
-        if any(e.action != 2 for e in ev[1:-1]):
-            raise ValueError("stroke interior must be move events (action 2)")
-
-    @property
-    def duration_ms(self) -> int:
-        return self.events[-1].timestamp - self.events[0].timestamp
-
-
-@dataclass(frozen=True)
 class StrokeSlices:
-    strokes: tuple[Stroke, ...]
+    strokes: tuple[np.ndarray, ...]  # read-only row blocks of the touch stream
     dropped_events: int
 
 
-def slice_strokes(touch_sequence: tuple[TouchEvent, ...] | list[TouchEvent]) -> StrokeSlices:
+def slice_strokes(touch: np.ndarray) -> StrokeSlices:
     """Cut a touch stream into strokes delimited by down/up actions.
 
-    Each stroke is a maximal run starting at action 0 and ending at the
-    next action 1 with only move events in between. Events outside such
-    runs (orphan moves/ups, down runs that never close, a second down
-    before an up) are dropped and counted, never raised: truncated
-    gestures occur in real capture data.
+    Each stroke is a maximal run of rows starting at action 0 and ending
+    at the next action 1 with only move rows (action 2) in between.
+    Rows outside such runs (orphan moves/ups, down runs that never close,
+    a second down before an up, invalid action codes, which also end an
+    open run) are dropped and counted, never raised: truncated gestures
+    occur in real capture data.
     """
-    strokes: list[Stroke] = []
+    strokes: list[np.ndarray] = []
     dropped = 0
-    current: list[TouchEvent] = []
-    for ev in touch_sequence:
-        if ev.action == 0:
-            dropped += len(current)
-            current = [ev]
-        elif ev.action == 2:
-            if current:
-                current.append(ev)
-            else:
-                dropped += 1
-        elif ev.action == 1:
-            if current:
-                current.append(ev)
-                strokes.append(Stroke(tuple(current)))
-                current = []
-            else:
-                dropped += 1
-        else:
-            # invalid action codes are a parse-time concern; drop here
+    start: int | None = None  # row of the open run's finger-down
+    for i, action in enumerate(touch[:, COL_ACTION].tolist()):
+        if action == 0:
+            if start is not None:
+                dropped += i - start
+            start = i
+        elif action == 2 and start is not None:
+            continue
+        elif action == 1 and start is not None:
+            strokes.append(touch[start : i + 1])
+            start = None
+        else:  # an orphan move or up, or an invalid code, which ends an open run
+            if start is not None:
+                dropped += i - start
+            start = None
             dropped += 1
-    dropped += len(current)
+    if start is not None:
+        dropped += len(touch) - start
     return StrokeSlices(tuple(strokes), dropped)
 
 
@@ -204,32 +231,36 @@ def slice_strokes(touch_sequence: tuple[TouchEvent, ...] | list[TouchEvent]) -> 
 def validate_session(session: Session) -> list[str]:
     """Return all invariant violations of a session (empty list = valid).
 
-    Violations are data, not errors: the function never raises.
+    Violations are data, not errors: the function never raises. Findings
+    come stream by stream, then row by row.
     """
     findings: list[str] = []
     allowed = valid_modalities(session.task)
-    for modality, events in session.streams.items():
+    for modality, stream in session.streams.items():
         path = f"session {session.session_id!r} streams.{modality.value}"
         if modality not in allowed:
             findings.append(f"{path}: modality not valid for task {session.task.value!r}")
-        prev_t: int | None = None
-        for i, ev in enumerate(events):
-            if prev_t is not None and ev.timestamp < prev_t:
-                findings.append(f"{path}[{i}]: non-monotonic timestamp")
-            prev_t = ev.timestamp
-            if ev.timestamp < 0:
-                findings.append(f"{path}[{i}]: negative timestamp")
-            if modality is ModalityKind.Keystroke:
-                if not 0 <= ev.ascii_code <= 255:
-                    findings.append(f"{path}[{i}]: ascii_code outside 0..255")
-            elif modality is ModalityKind.Touch:
-                if not (0.0 <= ev.x <= 1.0 and 0.0 <= ev.y <= 1.0):
-                    findings.append(f"{path}[{i}]: coordinate outside [0,1]")
-                if ev.action not in (0, 1, 2):
-                    findings.append(f"{path}[{i}]: action outside {{0,1,2}}")
-            else:
-                if not (math.isfinite(ev.x) and math.isfinite(ev.y) and math.isfinite(ev.z)):
-                    findings.append(f"{path}[{i}]: non-finite sensor value")
+        t = stream[:, COL_T]
+        decreasing = np.zeros(len(t), dtype=bool)
+        decreasing[1:] = t[1:] < t[:-1]
+        checks = [
+            ("non-monotonic timestamp", decreasing),
+            ("negative timestamp", t < 0),
+        ]
+        if modality is ModalityKind.Keystroke:
+            code = stream[:, COL_ASCII]
+            checks.append(("ascii_code outside 0..255", ~((code >= 0) & (code <= 255))))
+        elif modality is ModalityKind.Touch:
+            x, y = stream[:, COL_X], stream[:, COL_Y]
+            inside = (x >= 0) & (x <= 1) & (y >= 0) & (y <= 1)
+            checks.append(("coordinate outside [0,1]", ~inside))
+            checks.append(("action outside {0,1,2}", ~np.isin(stream[:, COL_ACTION], (0, 1, 2))))
+        else:
+            values = stream[:, [COL_X, COL_Y, COL_Z]]
+            checks.append(("non-finite sensor value", ~np.isfinite(values).all(axis=1)))
+        failed = np.column_stack([mask for _, mask in checks])
+        for row, check in zip(*np.nonzero(failed)):  # row-major: by row, then by check
+            findings.append(f"{path}[{row}]: {checks[check][0]}")
     return findings
 
 
@@ -251,48 +282,52 @@ _EXPECTED_COUNTS = {
 _SESSION_KEYS = {"session_id", "subject_id", "device_id", "task", "role", "streams"}
 
 
-def _expect_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaViolation(f"{path}: expected integer, got {type(value).__name__}")
-    return value
-
-
-def _expect_num(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaViolation(f"{path}: expected number, got {type(value).__name__}")
-    return float(value)
-
-
 def _expect_str(value, path: str) -> str:
     if not isinstance(value, str):
         raise SchemaViolation(f"{path}: expected string, got {type(value).__name__}")
     return value
 
 
-def _parse_event(modality: ModalityKind, row, path: str):
-    if not isinstance(row, list):
-        raise SchemaViolation(f"{path}: expected an event array")
-    if modality is ModalityKind.Keystroke:
-        if len(row) != 2:
-            raise SchemaViolation(f"{path}: keystroke event needs 2 entries")
-        return KeystrokeEvent(_expect_int(row[0], path), _expect_int(row[1], path))
-    if modality is ModalityKind.Touch:
-        if len(row) != 4:
-            raise SchemaViolation(f"{path}: touch event needs 4 entries")
-        return TouchEvent(
-            _expect_int(row[0], path),
-            _expect_num(row[1], path),
-            _expect_num(row[2], path),
-            _expect_int(row[3], path),
-        )
-    if len(row) != 4:
-        raise SchemaViolation(f"{path}: sensor sample needs 4 entries")
-    return SensorSample(
-        _expect_int(row[0], path),
-        _expect_num(row[1], path),
-        _expect_num(row[2], path),
-        _expect_num(row[3], path),
-    )
+_INTEGER = frozenset({int})
+_NUMBER = frozenset({int, float})
+_MAX_TIMESTAMP = 2**53  # float64 holds every integer up to here
+_ROW_NOUN = {ModalityKind.Keystroke: "keystroke event", ModalityKind.Touch: "touch event"}
+
+
+def _parse_stream(modality: ModalityKind, rows: list, path: str) -> np.ndarray:
+    """The rows of one stream as an array from :func:`make_stream`.
+
+    Each row gets type tests only, with no object built for it; the
+    first malformed row raises.
+    """
+    columns = STREAM_COLUMNS[modality]
+    kinds = [_INTEGER if name in INTEGER_COLUMNS else _NUMBER for name in columns]
+    for j, row in enumerate(rows):
+        if type(row) is not list:
+            raise SchemaViolation(f"{path}[{j}]: expected an event array")
+        if len(row) != len(columns):
+            noun = _ROW_NOUN.get(modality, "sensor sample")
+            raise SchemaViolation(f"{path}[{j}]: {noun} needs {len(columns)} entries")
+        for value, kind in zip(row, kinds):
+            if type(value) not in kind:
+                expected = "integer" if kind is _INTEGER else "number"
+                got = type(value).__name__
+                raise SchemaViolation(f"{path}[{j}]: expected {expected}, got {got}")
+        if row[COL_T] > _MAX_TIMESTAMP:
+            raise SchemaViolation(f"{path}[{j}]: timestamp above 2**53")
+    try:
+        return make_stream(modality, rows)
+    except OverflowError:
+        # an integer beyond float64 becomes ±inf, as the literal 1e400 does,
+        # and fails validation like any other out-of-range value
+        return make_stream(modality, [list(map(_to_float, row)) for row in rows])
+
+
+def _to_float(value: int | float) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _parse_session(obj, index: int, split_kind: SplitKind, warnings: list[str]) -> Session:
@@ -327,7 +362,7 @@ def _parse_session(obj, index: int, split_kind: SplitKind, warnings: list[str]) 
     raw_streams = obj["streams"]
     if not isinstance(raw_streams, dict):
         raise SchemaViolation(f"{path}.streams: expected an object")
-    streams: dict[ModalityKind, tuple] = {}
+    streams: dict[ModalityKind, np.ndarray] = {}
     for name, rows in raw_streams.items():
         try:
             modality = ModalityKind(name)
@@ -336,11 +371,7 @@ def _parse_session(obj, index: int, split_kind: SplitKind, warnings: list[str]) 
             continue
         if not isinstance(rows, list):
             raise SchemaViolation(f"{path}.streams.{name}: expected an array of events")
-        events = tuple(
-            _parse_event(modality, row, f"{path}.streams.{name}[{i}]")
-            for i, row in enumerate(rows)
-        )
-        streams[modality] = events
+        streams[modality] = _parse_stream(modality, rows, f"{path}.streams.{name}")
     for key in obj:
         if key not in _SESSION_KEYS:
             warnings.append(f"{path}: ignored unknown field {key!r}")
@@ -446,12 +477,13 @@ def parse_dataset(
 
 # --- serialization ------------------------------------------------------
 
-def _event_row(modality: ModalityKind, ev) -> list:
-    if modality is ModalityKind.Keystroke:
-        return [ev.timestamp, ev.ascii_code]
-    if modality is ModalityKind.Touch:
-        return [ev.timestamp, ev.x, ev.y, ev.action]
-    return [ev.timestamp, ev.x, ev.y, ev.z]
+def _stream_rows(modality: ModalityKind, stream: np.ndarray) -> list:
+    """Document rows of a stream: integer columns back to ints, the rest floats."""
+    columns = [
+        stream[:, c].astype(np.int64).tolist() if name in INTEGER_COLUMNS else stream[:, c].tolist()
+        for c, name in enumerate(STREAM_COLUMNS[modality])
+    ]
+    return list(zip(*columns))
 
 
 def dataset_to_obj(split: DatasetSplit) -> dict:
@@ -463,8 +495,8 @@ def dataset_to_obj(split: DatasetSplit) -> dict:
             "task": s.task.value,
             "role": s.role.value,
             "streams": {
-                m.value: [_event_row(m, ev) for ev in events]
-                for m, events in sorted(s.streams.items(), key=lambda kv: kv[0].value)
+                m.value: _stream_rows(m, stream)
+                for m, stream in sorted(s.streams.items(), key=lambda kv: kv[0].value)
             },
         }
         if s.subject_id is not None:

@@ -16,7 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BACKGROUND_SENSORS, ModalityKind, Session, TaskKind
+from .data import (
+    BACKGROUND_SENSORS,
+    COL_ASCII,
+    COL_T,
+    COL_X,
+    COL_Y,
+    COL_Z,
+    ModalityKind,
+    Session,
+    TaskKind,
+)
 from .errors import MissingModality, ShapeMismatch, SignalTooShort, TooFewColumns
 from .preprocess import resample_linear
 
@@ -59,8 +69,6 @@ def coif1() -> WaveletFilter:
 class DwtPair:
     c_a: np.ndarray  # approximation coefficients
     c_b: np.ndarray  # detail coefficients
-    sensor_index: int | None = None
-    modality_index: int | None = None
 
 
 def dwt_level1(signal, filt: WaveletFilter | None = None) -> DwtPair:
@@ -135,8 +143,8 @@ def keystroke_third_channel(pair: DwtPair) -> np.ndarray:
 # --- per-session images ---------------------------------------------------
 
 _MODALITY_CHANNELS = {
-    ModalityKind.Keystroke: ("ascii_code",),
-    ModalityKind.Touch: ("x", "y"),
+    ModalityKind.Keystroke: (COL_ASCII,),
+    ModalityKind.Touch: (COL_X, COL_Y),
 }
 
 
@@ -195,17 +203,16 @@ def task_image(session: Session, config: DwtImageConfig | None = None) -> Modali
     config = config or DwtImageConfig()
     strips: list[np.ndarray] = []
     for modality in task_modalities(session.task):
-        events = session.stream(modality)
-        if len(events) == 0:
+        stream = session.stream(modality)
+        if len(stream) == 0:
             raise MissingModality(modality.value)
-        t = [e.timestamp for e in events]
-        axes = _MODALITY_CHANNELS.get(modality, ("x", "y", "z"))
+        channels = _MODALITY_CHANNELS.get(modality, (COL_X, COL_Y, COL_Z))
         pairs = [
             dwt_level1(
-                resample_linear(t, [getattr(e, ax) for e in events], config.length).values[:, 0],
+                resample_linear(stream[:, COL_T], stream[:, c], config.length).values[:, 0],
                 config.filt,
             )
-            for ax in axes
+            for c in channels
         ]
         if modality is ModalityKind.Keystroke:
             reduced = keystroke_third_channel(pairs[0])
@@ -229,20 +236,3 @@ def dwt_score(enroll_images: list[ModalityImage], verify_image: ModalityImage) -
         raise ShapeMismatch("images differ in shape")
     reference = np.mean([img.pixels for img in enroll_images], axis=0)
     return float(1.0 - np.abs(verify_image.pixels - reference).mean())
-
-
-# --- portable text export -------------------------------------------------
-
-def export_image_text(image: ModalityImage) -> str:
-    """One text line per pixel row; pixels are `r,g,b` triples joined by spaces."""
-    lines = []
-    for row in image.pixels:
-        lines.append(" ".join(",".join(repr(float(c)) for c in px) for px in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_image_text(text: str) -> ModalityImage:
-    rows = []
-    for line in text.strip().splitlines():
-        rows.append([[float(c) for c in px.split(",")] for px in line.split()])
-    return ModalityImage(np.array(rows, dtype=float))

@@ -13,16 +13,18 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .data import (
+    INTEGER_COLUMNS,
+    STREAM_COLUMNS,
     DatasetSplit,
-    KeystrokeEvent,
     ModalityKind,
-    SensorSample,
     Session,
     SessionRole,
     SplitKind,
     TaskKind,
-    TouchEvent,
+    make_stream,
 )
 from .errors import MalformedDocument, SchemaViolation
 
@@ -71,21 +73,23 @@ def _norm_key(key: str) -> str:
     return key.strip().lower().replace("-", "_").replace(" ", "_")
 
 
-def _to_events(modality: ModalityKind, rows, path: str):
-    events = []
+def _to_stream(modality: ModalityKind, rows, path: str) -> np.ndarray:
+    """The first k entries of every row as a stream; integer columns pass through `int`."""
+    names = STREAM_COLUMNS[modality]
     for i, row in enumerate(rows):
-        if not isinstance(row, (list, tuple)):
-            raise SchemaViolation(f"{path}[{i}]: expected an event array")
-        try:
-            if modality is ModalityKind.Keystroke:
-                events.append(KeystrokeEvent(int(row[0]), int(row[1])))
-            elif modality is ModalityKind.Touch:
-                events.append(TouchEvent(int(row[0]), float(row[1]), float(row[2]), int(row[3])))
-            else:
-                events.append(SensorSample(int(row[0]), float(row[1]), float(row[2]), float(row[3])))
-        except (IndexError, TypeError, ValueError) as exc:
-            raise SchemaViolation(f"{path}[{i}]: {exc}") from None
-    return tuple(events)
+        if not isinstance(row, (list, tuple)) or len(row) < len(names):
+            raise SchemaViolation(f"{path}[{i}]: expected an event array of {len(names)} entries")
+    columns = []
+    for name, values in zip(names, zip(*rows)):
+        convert = int if name in INTEGER_COLUMNS else float
+        column = []
+        for i, value in enumerate(values):
+            try:
+                column.append(convert(value))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise SchemaViolation(f"{path}[{i}]: {name}: {exc}") from None
+        columns.append(column)
+    return make_stream(modality, np.array(columns, dtype=np.float64).T)
 
 
 def _guess_role(session_key: str, split_kind: SplitKind) -> SessionRole:
@@ -128,7 +132,7 @@ def import_released_obj(obj: dict, split_kind: SplitKind) -> DatasetSplit:
                     rows = streams_obj[mod_key]
                     if not isinstance(rows, list):
                         continue
-                    streams[modality] = _to_events(
+                    streams[modality] = _to_stream(
                         modality, rows, f"{user_key}.{session_key}.{task_key}.{mod_key}"
                     )
                 if not streams:

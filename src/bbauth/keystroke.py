@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .data import KeystrokeEvent, ModalityKind, Session
+import numpy as np
+
+from .data import COL_ASCII, COL_T, ModalityKind, Session
 from .errors import BothEmpty, EmptyIntersection, NoKeystrokeData
 
 Ngram = tuple[int, ...]
@@ -29,20 +31,20 @@ class NgramTable:
     entries: dict[Ngram, NgramStats]
 
 
-def extract_ngrams(events, n: int) -> NgramTable:
-    """Aggregate every window of `n` consecutive keystrokes.
+def extract_ngrams(keystrokes: np.ndarray, n: int) -> NgramTable:
+    """Aggregate every window of `n` consecutive rows of a keystroke stream.
 
-    Duration of a window is last timestamp minus first. A sequence
-    shorter than `n` yields an empty table.
+    Duration of a window is last timestamp minus first. A stream shorter
+    than `n` yields an empty table.
     """
     if n not in (2, 3):
         raise ValueError("n must be 2 or 3")
     sums: dict[Ngram, list] = {}
-    events = list(events)
-    for i in range(len(events) - n + 1):
-        window = events[i : i + n]
-        gram = tuple(e.ascii_code for e in window)
-        duration = window[-1].timestamp - window[0].timestamp
+    times = keystrokes[:, COL_T].astype(np.int64).tolist()
+    codes = keystrokes[:, COL_ASCII].astype(np.int64).tolist()
+    for i in range(len(codes) - n + 1):
+        gram = tuple(codes[i : i + n])
+        duration = times[i + n - 1] - times[i]
         acc = sums.setdefault(gram, [0, 0.0])
         acc[0] += 1
         acc[1] += duration
@@ -123,10 +125,6 @@ def _restrict(table: NgramTable, grams: set[Ngram]) -> NgramTable:
     return NgramTable(table.n, {g: s for g, s in table.entries.items() if g in grams})
 
 
-def _session_events(session: Session) -> tuple[KeystrokeEvent, ...]:
-    return session.stream(ModalityKind.Keystroke)
-
-
 def keystroke_score(
     enroll_sessions: list[Session],
     verify_session: Session,
@@ -143,15 +141,15 @@ def keystroke_score(
     """
     if not enroll_sessions:
         raise ValueError("need at least one enrollment session")
-    enroll_events = [_session_events(s) for s in enroll_sessions]
-    verify_events = _session_events(verify_session)
-    if all(len(ev) < 2 for ev in enroll_events) or len(verify_events) < 2:
+    enroll_streams = [s.stream(ModalityKind.Keystroke) for s in enroll_sessions]
+    verify_stream = verify_session.stream(ModalityKind.Keystroke)
+    if all(len(stream) < 2 for stream in enroll_streams) or len(verify_stream) < 2:
         raise NoKeystrokeData("sessions carry no usable keystroke events")
 
     per_n: list[float] = []
     for n in (2, 3):
-        enroll_table = merge_tables([extract_ngrams(ev, n) for ev in enroll_events])
-        verify_table = extract_ngrams(verify_events, n)
+        enroll_table = merge_tables([extract_ngrams(stream, n) for stream in enroll_streams])
+        verify_table = extract_ngrams(verify_stream, n)
         if not enroll_table.entries and not verify_table.entries:
             per_n.append(0.0)
             continue

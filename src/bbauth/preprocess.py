@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BACKGROUND_SENSORS, ModalityKind, Session, TaskKind
+from .data import BACKGROUND_SENSORS, COL_T, COL_X, COL_Y, COL_Z, Session, TaskKind
 from .errors import EmptySeries, MissingModality
 
 
@@ -56,54 +56,27 @@ def minmax_normalize(series: UniformSeries) -> UniformSeries:
     return UniformSeries(out, series.channels)
 
 
-def pad_or_truncate(series: UniformSeries, length: int) -> UniformSeries:
-    """Zero-pad or truncate along the time axis to exactly `length` rows."""
-    v = series.values
-    if v.shape[0] >= length:
-        return UniformSeries(v[:length].copy(), series.channels)
-    pad = np.zeros((length - v.shape[0], v.shape[1]))
-    return UniformSeries(np.vstack([v, pad]), series.channels)
-
-
-def stack_modalities(
-    session: Session,
-    task: TaskKind,
-    per_modality_len: int,
-    *,
-    include_touch: bool = False,
-) -> UniformSeries:
+def stack_modalities(session: Session, task: TaskKind, per_modality_len: int) -> UniformSeries:
     """Fuse a session's sensor streams at data level into one matrix.
 
     Each x/y/z channel of the five background sensors is resampled to
     `per_modality_len`, MinMax-normalized, and concatenated along the
     channel axis in the fixed order accelerometer, gyroscope,
-    magnetometer, linear accelerometer, gravity. With `include_touch`
-    the touch x/y channels are appended after the sensors.
+    magnetometer, linear accelerometer, gravity.
     """
     if session.task is not task:
         raise ValueError(f"session task {session.task.value!r} != {task.value!r}")
     columns: list[np.ndarray] = []
     channels: list[str] = []
     for sensor in BACKGROUND_SENSORS:
-        events = session.stream(sensor)
-        if len(events) == 0:
+        stream = session.stream(sensor)
+        if len(stream) == 0:
             raise MissingModality(sensor.value)
-        t = [e.timestamp for e in events]
-        for axis in ("x", "y", "z"):
-            vals = [getattr(e, axis) for e in events]
-            col = resample_linear(t, vals, per_modality_len, f"{sensor.value}.{axis}")
+        for axis, c in (("x", COL_X), ("y", COL_Y), ("z", COL_Z)):
+            channel = f"{sensor.value}.{axis}"
+            col = resample_linear(stream[:, COL_T], stream[:, c], per_modality_len, channel)
             columns.append(minmax_normalize(col).values)
-            channels.append(f"{sensor.value}.{axis}")
-    if include_touch:
-        events = session.stream(ModalityKind.Touch)
-        if len(events) == 0:
-            raise MissingModality(ModalityKind.Touch.value)
-        t = [e.timestamp for e in events]
-        for axis in ("x", "y"):
-            vals = [getattr(e, axis) for e in events]
-            col = resample_linear(t, vals, per_modality_len, f"touch.{axis}")
-            columns.append(minmax_normalize(col).values)
-            channels.append(f"touch.{axis}")
+            channels.append(channel)
     return UniformSeries(np.hstack(columns), tuple(channels))
 
 
@@ -116,9 +89,9 @@ def compute_target_lengths(sessions, minimum: int = 8) -> dict[TaskKind, int]:
     counts: dict[TaskKind, list[int]] = {task: [] for task in TaskKind}
     for s in sessions:
         for sensor in BACKGROUND_SENSORS:
-            events = s.stream(sensor)
-            if len(events):
-                counts[s.task].append(len(events))
+            n = len(s.stream(sensor))
+            if n:
+                counts[s.task].append(n)
     lengths: dict[TaskKind, int] = {}
     for task, ns in counts.items():
         if ns:

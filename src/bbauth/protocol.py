@@ -142,13 +142,22 @@ def build_comparisons(
 # --- AUC ------------------------------------------------------------------
 
 def auc_counts(genuine_scores, impostor_scores) -> tuple[int, int]:
-    """Exact Mann-Whitney pair counts: (2*wins + ties, 2*|G|*|I|)."""
+    """Exact Mann-Whitney pair counts: (2*wins + ties, 2*|G|*|I|).
+
+    Counted by binary search in the sorted impostor scores, in
+    O((|G| + |I|) log |I|) time and O(|G| + |I|) memory. A NaN score
+    wins and ties against nothing.
+    """
     g = np.asarray(list(genuine_scores), dtype=float)
     i = np.asarray(list(impostor_scores), dtype=float)
     if g.size == 0 or i.size == 0:
         raise EmptyDistribution("both score distributions must be non-empty")
-    wins = int((g[:, None] > i[None, :]).sum())
-    ties = int((g[:, None] == i[None, :]).sum())
+    ranked = np.sort(i[~np.isnan(i)])
+    g_ok = g[~np.isnan(g)]
+    below = np.searchsorted(ranked, g_ok, side="left")  # impostor scores < g
+    at_most = np.searchsorted(ranked, g_ok, side="right")  # impostor scores <= g
+    wins = int(below.sum())
+    ties = int((at_most - below).sum())
     return 2 * wins + ties, 2 * g.size * i.size
 
 

@@ -146,15 +146,6 @@ def forward(params: NetworkParams, x, mode: str = "infer") -> np.ndarray:
     return out[0] if single else out
 
 
-def contrastive_loss(d: float, label: int, margin: float) -> float:
-    """d^2 for same-subject pairs, hinge(margin - d)^2 for impostor pairs."""
-    if d < 0:
-        raise ValueError("distance must be >= 0")
-    if label == 1:
-        return d * d
-    return max(0.0, margin - d) ** 2
-
-
 def _pair_loss_and_embedding_grads(e_a: np.ndarray, e_b: np.ndarray, labels: np.ndarray, margin: float):
     diff = e_a - e_b
     d = np.sqrt((diff * diff).sum(axis=1))
@@ -307,13 +298,9 @@ def siamese_score(enroll_embeddings, verify_embedding) -> float:
 
 # --- pair construction ----------------------------------------------------
 
-def build_pair_set(
-    samples_by_subject: dict[str, list[np.ndarray]],
-    seed: int,
-    negatives_per_positive: int = 1,
-) -> PairSet:
-    """All within-subject pairs as positives plus seeded cross-subject
-    negatives at the requested ratio (default 1:1)."""
+def build_pair_set(samples_by_subject: dict[str, list[np.ndarray]], seed: int) -> PairSet:
+    """All within-subject pairs as positives plus as many seeded
+    cross-subject negatives."""
     rng = np.random.default_rng(seed)
     subjects = sorted(samples_by_subject)
     a_rows, b_rows, labels = [], [], []
@@ -324,7 +311,7 @@ def build_pair_set(
                 a_rows.append(samples[i])
                 b_rows.append(samples[j])
                 labels.append(1)
-    n_negative = len(a_rows) * negatives_per_positive
+    n_negative = len(a_rows)
     if len(subjects) < 2:
         raise DegeneratePairs("need samples from at least two subjects")
     for _ in range(n_negative):

@@ -22,15 +22,14 @@ import numpy as np
 
 from .data import (
     BACKGROUND_SENSORS,
+    COL_T,
     DatasetSplit,
-    KeystrokeEvent,
     ModalityKind,
-    SensorSample,
     Session,
     SessionRole,
     SplitKind,
     TaskKind,
-    TouchEvent,
+    make_stream,
 )
 from .errors import ConfigInvalid
 from .protocol import ComparisonList, KeyFile, build_comparisons
@@ -213,25 +212,25 @@ def blend_profiles(impostor: UserProfile, victim: UserProfile, alpha: float) -> 
 
 # --- stream synthesis -----------------------------------------------------
 
-def _keystroke_stream(user: UserProfile, rng: np.random.Generator) -> tuple[KeystrokeEvent, ...]:
+def _keystroke_stream(user: UserProfile, rng: np.random.Generator) -> np.ndarray:
     weights = user.word_weights / user.word_weights.sum()
     words = rng.choice(len(WORDS), size=_WORDS_PER_SESSION, p=weights)
     text = " ".join(WORDS[i] for i in words)
     codes = [ord(c) for c in text]
     t = 500.0 + 200.0 * rng.random()
-    events = [KeystrokeEvent(int(t), codes[0])]
+    times = [int(t)]
     for prev, code in zip(codes, codes[1:]):
         cls = _digram_class(prev, code)
         latency = rng.normal(user.digram_mean[cls], user.digram_std[cls])
         t += max(latency, _MIN_LATENCY)
-        events.append(KeystrokeEvent(int(t), code))
-    return tuple(events)
+        times.append(int(t))
+    return make_stream(ModalityKind.Keystroke, np.column_stack([times, codes]))
 
 
 def _swipe_stream(
     user: UserProfile, device: DeviceProfile, rng: np.random.Generator, vertical: bool
-) -> tuple[TouchEvent, ...]:
-    events: list[TouchEvent] = []
+) -> np.ndarray:
+    columns: tuple[list, ...] = ([], [], [], [])  # t, x, y, action
     t = 400.0 + 300.0 * rng.random()
     for swipe_idx in range(_SWIPES_PER_SESSION):
         speed = max(rng.normal(user.swipe[0], user.swipe_std[0]), 3e-4)
@@ -255,28 +254,32 @@ def _swipe_stream(
         pts = np.clip(pts, 0.0, 1.0)
         duration = length / speed
         step = duration / (n_pts - 1)
+        xs = pts[:, 0].tolist()
+        ys = pts[:, 1].tolist()
         for i in range(n_pts):
-            action = 0 if i == 0 else (1 if i == n_pts - 1 else 2)
-            events.append(
-                TouchEvent(int(t), round(float(pts[i, 0]), 5), round(float(pts[i, 1]), 5), action)
-            )
+            columns[0].append(int(t))
+            columns[1].append(round(xs[i], 5))
+            columns[2].append(round(ys[i], 5))
+            columns[3].append(0 if i == 0 else (1 if i == n_pts - 1 else 2))
             if i < n_pts - 1:
                 t += step * (1.0 + device.jitter * rng.uniform(-1.0, 1.0))
         t += rng.uniform(280.0, 700.0)
-    return tuple(events)
+    return make_stream(ModalityKind.Touch, np.column_stack(columns))
 
 
-def _tap_stream(user: UserProfile, rng: np.random.Generator) -> tuple[TouchEvent, ...]:
-    events: list[TouchEvent] = []
+def _tap_stream(user: UserProfile, rng: np.random.Generator) -> np.ndarray:
+    columns: tuple[list, ...] = ([], [], [], [])  # t, x, y, action
     t = 400.0 + 300.0 * rng.random()
     for _ in range(_TAPS_PER_SESSION):
-        x = float(np.clip(rng.normal(user.tap[2], user.tap_std[2]), 0.0, 1.0))
-        y = float(np.clip(rng.normal(user.tap[3], user.tap_std[3]), 0.0, 1.0))
+        x = round(float(np.clip(rng.normal(user.tap[2], user.tap_std[2]), 0.0, 1.0)), 5)
+        y = round(float(np.clip(rng.normal(user.tap[3], user.tap_std[3]), 0.0, 1.0)), 5)
         hold = max(rng.normal(user.tap[0], user.tap_std[0]), 25.0)
-        events.append(TouchEvent(int(t), round(x, 5), round(y, 5), 0))
-        events.append(TouchEvent(int(t + hold), round(x, 5), round(y, 5), 1))
+        columns[0].extend((int(t), int(t + hold)))
+        columns[1].extend((x, x))
+        columns[2].extend((y, y))
+        columns[3].extend((0, 1))
         t += hold + max(rng.normal(user.tap[1], user.tap_std[1]), 40.0)
-    return tuple(events)
+    return make_stream(ModalityKind.Touch, np.column_stack(columns))
 
 
 def _sensor_streams(
@@ -284,13 +287,13 @@ def _sensor_streams(
     device: DeviceProfile,
     rng: np.random.Generator,
     duration_ms: float,
-) -> dict[ModalityKind, tuple[SensorSample, ...]]:
+) -> dict[ModalityKind, np.ndarray]:
     n_max = int(duration_ms / (device.period_ms * (1 - device.jitter))) + 2
     deltas = device.period_ms * (1.0 + device.jitter * rng.uniform(-1.0, 1.0, size=n_max))
     times = np.cumsum(deltas)
     times = times[times <= duration_ms]
     seconds = times / 1000.0
-    streams: dict[ModalityKind, tuple[SensorSample, ...]] = {}
+    streams: dict[ModalityKind, np.ndarray] = {}
     for s_idx, sensor in enumerate(BACKGROUND_SENSORS):
         amp = _SENSOR_AMP[sensor]
         base = _SENSOR_BASE[sensor]
@@ -310,11 +313,9 @@ def _sensor_streams(
                 value = rho * value + innov[i]
                 noise[i] = value
             signal = base[axis] + amp * (ratio * sway + (1 - ratio) * noise)
-            axes.append(device.gain[s_idx] * signal + device.bias[s_idx, axis])
-        streams[sensor] = tuple(
-            SensorSample(int(t), round(float(x), 5), round(float(y), 5), round(float(z), 5))
-            for t, x, y, z in zip(times, axes[0], axes[1], axes[2])
-        )
+            values = device.gain[s_idx] * signal + device.bias[s_idx, axis]
+            axes.append([round(v, 5) for v in values.tolist()])
+        streams[sensor] = make_stream(sensor, np.column_stack([np.trunc(times), *axes]))
     return streams
 
 
@@ -330,19 +331,15 @@ def generate_session(
 ) -> Session:
     """One task-appropriate session; deterministic in `session_seed`."""
     rng = np.random.default_rng(np.random.SeedSequence(session_seed))
-    streams: dict[ModalityKind, tuple] = {}
     if task is TaskKind.Keystroke:
-        keys = _keystroke_stream(user, rng)
-        streams[ModalityKind.Keystroke] = keys
-        last_t = keys[-1].timestamp
+        modality, stream = ModalityKind.Keystroke, _keystroke_stream(user, rng)
     elif task is TaskKind.Tapping:
-        touch = _tap_stream(user, rng)
-        streams[ModalityKind.Touch] = touch
-        last_t = touch[-1].timestamp
+        modality, stream = ModalityKind.Touch, _tap_stream(user, rng)
     else:
-        touch = _swipe_stream(user, device, rng, vertical=task is TaskKind.TextReading)
-        streams[ModalityKind.Touch] = touch
-        last_t = touch[-1].timestamp
+        vertical = task is TaskKind.TextReading
+        modality, stream = ModalityKind.Touch, _swipe_stream(user, device, rng, vertical)
+    streams = {modality: stream}
+    last_t = float(stream[-1, COL_T])
     streams.update(_sensor_streams(user, device, rng, duration_ms=last_t + 400.0))
     return Session(
         session_id=session_id,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import ModalityKind, Session, Stroke, TaskKind, slice_strokes
+from .data import COL_ASCII, COL_T, COL_X, COL_Y, ModalityKind, Session, TaskKind, slice_strokes
 from .errors import DegenerateStroke, InsufficientEvents, NoStrokes
 
 
@@ -58,32 +58,31 @@ def _percentile(values: list[float], q: float) -> float:
     return float(np.percentile(np.asarray(values), q, method="linear"))
 
 
-def swipe_features(stroke: Stroke, session_mean_xy: tuple[float, float]) -> SwipeFeatureVector:
-    """Feature vector of one stroke.
+def swipe_features(stroke: np.ndarray, session_mean_xy: tuple[float, float]) -> SwipeFeatureVector:
+    """Feature vector of one stroke (touch rows from :func:`slice_strokes`).
 
     `session_mean_xy` is the mean (x, y) over all stroke points of the
     session the stroke belongs to; deviation features are measured
     against it.
     """
-    ev = stroke.events
-    if ev[-1].timestamp == ev[0].timestamp:
+    ts = stroke[:, COL_T].tolist()
+    if ts[-1] == ts[0]:
         raise DegenerateStroke("stroke spans fewer than two distinct timestamps")
     mean_x, mean_y = session_mean_xy
-    xs = [e.x for e in ev]
-    ys = [e.y for e in ev]
-    ts = [e.timestamp for e in ev]
+    xs = stroke[:, COL_X].tolist()
+    ys = stroke[:, COL_Y].tolist()
 
     deviations = [math.hypot(x - mean_x, y - mean_y) for x, y in zip(xs, ys)]
 
     displacements = [
-        math.hypot(xs[i + 1] - xs[i], ys[i + 1] - ys[i]) for i in range(len(ev) - 1)
+        math.hypot(xs[i + 1] - xs[i], ys[i + 1] - ys[i]) for i in range(len(ts) - 1)
     ]
     disp_sum = sum(displacements)
 
     velocities: list[float] = []
     vel_start_idx: list[int] = []  # index of the pair's first point
     vel_end_t: list[float] = []
-    for i in range(len(ev) - 1):
+    for i in range(len(ts) - 1):
         dt = ts[i + 1] - ts[i]
         if dt == 0:
             continue
@@ -98,7 +97,7 @@ def swipe_features(stroke: Stroke, session_mean_xy: tuple[float, float]) -> Swip
             continue
         accelerations.append((velocities[j + 1] - velocities[j]) / dt)
 
-    last3 = [v for v, i in zip(velocities, vel_start_idx) if i >= len(ev) - 3]
+    last3 = [v for v, i in zip(velocities, vel_start_idx) if i >= len(ts) - 3]
     duration = float(ts[-1] - ts[0])
     euclid = math.hypot(xs[-1] - xs[0], ys[-1] - ys[0])
 
@@ -130,17 +129,17 @@ def swipe_features(stroke: Stroke, session_mean_xy: tuple[float, float]) -> Swip
 
 def session_mean_xy(strokes) -> tuple[float, float]:
     """Mean (x, y) over every point of every stroke."""
-    xs = [e.x for s in strokes for e in s.events]
-    ys = [e.y for s in strokes for e in s.events]
-    if not xs:
+    if not strokes:
         raise NoStrokes("no stroke points")
+    xs = np.concatenate([s[:, COL_X] for s in strokes])
+    ys = np.concatenate([s[:, COL_Y] for s in strokes])
     return float(np.mean(xs)), float(np.mean(ys))
 
 
 def session_feature_vectors(session: Session) -> list[SwipeFeatureVector]:
     """Feature vectors for all non-degenerate strokes of a session."""
     sliced = slice_strokes(session.stream(ModalityKind.Touch))
-    usable = [s for s in sliced.strokes if s.duration_ms > 0]
+    usable = [s for s in sliced.strokes if s[-1, COL_T] > s[0, COL_T]]
     if not usable:
         return []
     mean_xy = session_mean_xy(usable)
@@ -182,21 +181,17 @@ def template_score(
 # --- per-task sequences for alignment distances --------------------------
 
 def _stroke_rows(session: Session, tapping: bool) -> np.ndarray:
-    sliced = slice_strokes(session.stream(ModalityKind.Touch))
-    strokes = sliced.strokes
+    strokes = slice_strokes(session.stream(ModalityKind.Touch)).strokes
     rows = []
     for i, stroke in enumerate(strokes):
-        duration = float(stroke.duration_ms)
-        if i + 1 < len(strokes):
-            gap = float(strokes[i + 1].events[0].timestamp - stroke.events[-1].timestamp)
-        else:
-            gap = 0.0
+        ts = stroke[:, COL_T].tolist()
+        xs = stroke[:, COL_X].tolist()
+        ys = stroke[:, COL_Y].tolist()
+        duration = ts[-1] - ts[0]
+        gap = float(strokes[i + 1][0, COL_T]) - ts[-1] if i + 1 < len(strokes) else 0.0
         if tapping:
-            down = stroke.events[0]
-            rows.append([duration, gap, down.x, down.y])
+            rows.append([duration, gap, xs[0], ys[0]])
         else:
-            xs = [e.x for e in stroke.events]
-            ys = [e.y for e in stroke.events]
             disp = sum(
                 math.hypot(xs[j + 1] - xs[j], ys[j + 1] - ys[j]) for j in range(len(xs) - 1)
             )
@@ -218,14 +213,14 @@ def build_dtw_sequence(session: Session, task: TaskKind) -> np.ndarray:
     if session.task is not task:
         raise ValueError(f"session task {session.task.value!r} != {task.value!r}")
     if task is TaskKind.Keystroke:
-        events = session.stream(ModalityKind.Keystroke)
-        if len(events) < 4:
+        keystrokes = session.stream(ModalityKind.Keystroke)
+        if len(keystrokes) < 4:
             raise InsufficientEvents("keystroke differencing needs at least 4 events")
-        t = np.array([e.timestamp for e in events], dtype=float)
-        rows = np.zeros((len(events), 4))
+        t = keystrokes[:, COL_T]
+        rows = np.zeros((len(keystrokes), 4))
         for order in (1, 2, 3):
             diffs = np.diff(t, n=order)
             rows[: len(diffs), order - 1] = diffs
-        rows[:, 3] = [e.ascii_code / 255 for e in events]
+        rows[:, 3] = keystrokes[:, COL_ASCII] / 255
         return rows
     return _stroke_rows(session, tapping=task is TaskKind.Tapping)

@@ -250,7 +250,7 @@ def test_report_single_entry(tmp_path):
 
 def test_config_file_precedence(synth_dir, tmp_path):
     config = tmp_path / "run.cfg"
-    config.write_text("seed = 99\ndwt_length = 32  # overridden by flag\n")
+    config.write_text("seed = 99  # overridden by flag\n")
     out_a = tmp_path / "a.json"
     out_k = tmp_path / "k.json"
     code = main([
@@ -270,6 +270,26 @@ def test_config_file_precedence(synth_dir, tmp_path):
         "--config", str(config), "--seed", "1", "--out-list", str(out_a), "--out-key", str(out_k),
     ])
     assert json.loads(out_a.read_text()) != from_file  # flag overrides file
+
+
+def test_config_file_unknown_key_exit_4(synth_dir, tmp_path, capsys):
+    score = ["score", "--data", str(synth_dir / "evaluation.json"),
+             "--comparisons", str(synth_dir / "comparisons_evaluation_tapping.json"),
+             "--matcher", "softdtw", "--out", str(tmp_path / "s.csv")]
+    for key in ("gama", "threads"):
+        config = tmp_path / f"{key}.cfg"
+        config.write_text(f"# tuning\ngamma = 0.05\n{key} = 4\n")
+        capsys.readouterr()
+        assert main([*score, "--config", str(config)]) == 4
+        assert f"{config}:3: unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+    config = tmp_path / "shared.cfg"
+    config.write_text("seed = 1\ndwt_length = 32\n")  # comparisons reads only seed
+    assert main([
+        "comparisons", "--data", str(synth_dir / "validation.json"), "--task", "gallery",
+        "--config", str(config), "--out-list", str(tmp_path / "a.json"),
+        "--out-key", str(tmp_path / "k.json"),
+    ]) == 4
 
 
 def test_io_failure_exit_3(tmp_path):

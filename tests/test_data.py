@@ -1,17 +1,19 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbauth.data import (
-    KeystrokeEvent,
+    COL_ACTION,
+    COL_T,
     ModalityKind,
     Session,
     SessionRole,
     SplitKind,
     TaskKind,
-    TouchEvent,
+    make_stream,
     parse_dataset,
     serialize_dataset,
     slice_strokes,
@@ -36,8 +38,8 @@ MINIMAL_DOC = json.dumps(
 )
 
 
-def _touch(t, x, y, action):
-    return TouchEvent(t, x, y, action)
+def _touch(rows):
+    return make_stream(ModalityKind.Touch, rows)
 
 
 def test_parse_minimal_document():
@@ -45,8 +47,10 @@ def test_parse_minimal_document():
     assert len(split.sessions) == 1
     session = split.sessions[0]
     assert session.task is TaskKind.Keystroke
-    assert len(session.stream(ModalityKind.Keystroke)) == 2
-    assert session.stream(ModalityKind.Keystroke)[0] == KeystrokeEvent(0, 104)
+    keystrokes = session.stream(ModalityKind.Keystroke)
+    assert keystrokes.tolist() == [[0.0, 104.0], [120.0, 105.0]]
+    assert keystrokes.dtype == np.float64 and not keystrokes.flags.writeable
+    assert session.stream(ModalityKind.Touch).shape == (0, 4)
 
 
 def test_parse_rejects_bad_action():
@@ -139,6 +143,53 @@ def test_parse_rejects_float_timestamp():
         parse_dataset(json.dumps(doc), SplitKind.Train)
 
 
+def _with_streams(task, streams):
+    doc = json.loads(MINIMAL_DOC)
+    doc["sessions"][0]["task"] = task
+    doc["sessions"][0]["streams"] = streams
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("task, streams, error, message", [
+    ("tapping", {"touch": [[0, 0.5, 0.5, 0], 5]}, SchemaViolation,
+     "sessions[0] ('s1').streams.touch[1]: expected an event array"),
+    ("keystroke", {"keystroke": [[0, 104], [1, 2, 3]]}, SchemaViolation,
+     "sessions[0] ('s1').streams.keystroke[1]: keystroke event needs 2 entries"),
+    ("tapping", {"touch": [[0, 0.5, 0.5]]}, SchemaViolation,
+     "sessions[0] ('s1').streams.touch[0]: touch event needs 4 entries"),
+    ("tapping", {"gravity": [[0, 1.0, 2.0, 3.0], [5, 1.0, 2.0]]}, SchemaViolation,
+     "sessions[0] ('s1').streams.gravity[1]: sensor sample needs 4 entries"),
+    ("tapping", {"touch": [[0, 0.5, 0.5, 0], [5, 0.5, 0.5, 1.0]]}, SchemaViolation,
+     "sessions[0] ('s1').streams.touch[1]: expected integer, got float"),
+    ("tapping", {"gyroscope": [[0, 1.0, True, 3.0]]}, SchemaViolation,
+     "sessions[0] ('s1').streams.gyroscope[0]: expected number, got bool"),
+    ("tapping", {"gyroscope": [[0, 1.0, 2.0, None]]}, SchemaViolation,
+     "sessions[0] ('s1').streams.gyroscope[0]: expected number, got NoneType"),
+    ("keystroke", {"keystroke": [[0, 104], [2**53 + 1, 105]]}, SchemaViolation,
+     "sessions[0] ('s1').streams.keystroke[1]: timestamp above 2**53"),
+    ("keystroke", {"keystroke": [[0, 10**400]]}, InvariantViolation,
+     "session 's1' streams.keystroke[0]: ascii_code outside 0..255"),
+    ("tapping", {"gyroscope": [[0, 1.0, -(10**400), 3.0]]}, InvariantViolation,
+     "session 's1' streams.gyroscope[0]: non-finite sensor value"),
+    ("tapping", {"touch": [[10, 0.5, 0.5, 0], [5, 0.5, 0.5, 1]]}, InvariantViolation,
+     "session 's1' streams.touch[1]: non-monotonic timestamp"),
+    ("tapping", {"keystroke": [[0, 104]]}, InvariantViolation,
+     "session 's1' streams.keystroke: modality not valid for task 'tapping'"),
+])
+def test_parse_stream_rejections_name_the_row(task, streams, error, message):
+    with pytest.raises(error) as info:
+        parse_dataset(_with_streams(task, streams), SplitKind.Train)
+    assert str(info.value) == message
+
+
+def test_parse_keeps_timestamps_up_to_2_53_exactly():
+    text = _with_streams("keystroke", {"keystroke": [[2**53 - 1, 104], [2**53, 105]]})
+    split = parse_dataset(text, SplitKind.Train)
+    assert split.sessions[0].stream(ModalityKind.Keystroke)[:, COL_T].tolist() == [2**53 - 1, 2**53]
+    rows = json.loads(serialize_dataset(split))["sessions"][0]["streams"]["keystroke"]
+    assert rows[1] == [2**53, 105]
+
+
 def test_roundtrip_minimal():
     split = parse_dataset(MINIMAL_DOC, SplitKind.Train)
     again = parse_dataset(serialize_dataset(split), SplitKind.Train)
@@ -151,6 +202,7 @@ def test_roundtrip_generated(tiny_generated):
         text = serialize_dataset(split)
         parsed = parse_dataset(text, split.split_kind)
         assert parsed.sessions == split.sessions
+        assert serialize_dataset(parsed) == text
         assert parsed.warnings == ()  # counts line up, nothing unknown
 
 
@@ -165,31 +217,60 @@ def test_generated_20_user_evaluation_count():
 
 # --- validate_session -----------------------------------------------------
 
-def _keystroke_session(events, task=TaskKind.Keystroke):
-    return Session("s", "d", task, SessionRole.Unlabeled,
-                   {ModalityKind.Keystroke: tuple(events)}, subject_id="u")
+def _keystroke_session(rows, task=TaskKind.Keystroke):
+    streams = {ModalityKind.Keystroke: make_stream(ModalityKind.Keystroke, rows)}
+    return Session("s", "d", task, SessionRole.Unlabeled, streams, subject_id="u")
 
 
 def test_validate_valid_session_empty_report():
-    report = validate_session(_keystroke_session([KeystrokeEvent(0, 10), KeystrokeEvent(5, 20)]))
+    report = validate_session(_keystroke_session([(0, 10), (5, 20)]))
     assert report == []
 
 
 def test_validate_non_monotonic_timestamp():
-    report = validate_session(_keystroke_session([KeystrokeEvent(10, 10), KeystrokeEvent(5, 20)]))
+    report = validate_session(_keystroke_session([(10, 10), (5, 20)]))
     assert len(report) == 1
     assert "non-monotonic" in report[0] and "[1]" in report[0]
 
 
 def test_validate_modality_task_matrix():
-    report = validate_session(_keystroke_session([KeystrokeEvent(0, 10)], task=TaskKind.Tapping))
+    report = validate_session(_keystroke_session([(0, 10)], task=TaskKind.Tapping))
     assert any("not valid for task" in finding for finding in report)
+
+
+def test_validate_reports_row_by_row():
+    session = Session(
+        "s", "d", TaskKind.Tapping, SessionRole.Unlabeled,
+        {ModalityKind.Touch: _touch([(10, 2.0, 0.5, 7), (5, 0.5, 0.5, 0), (-1, 0.5, 0.5, 1)])},
+        subject_id="u",
+    )
+    path = "session 's' streams.touch"
+    assert validate_session(session) == [
+        f"{path}[0]: coordinate outside [0,1]",
+        f"{path}[0]: action outside {{0,1,2}}",
+        f"{path}[1]: non-monotonic timestamp",
+        f"{path}[2]: non-monotonic timestamp",
+        f"{path}[2]: negative timestamp",
+    ]
+
+
+def test_session_streams_are_read_only_arrays():
+    writable = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="keystroke"):
+        Session("s", "d", TaskKind.Keystroke, SessionRole.Unlabeled,
+                {ModalityKind.Keystroke: writable})
+    with pytest.raises(ValueError, match="columns"):
+        make_stream(ModalityKind.Touch, [(0, 104)])
+    session = _keystroke_session([(0, 10)])
+    with pytest.raises(ValueError):
+        session.stream(ModalityKind.Keystroke)[0, COL_T] = 5
+    assert session.stream(ModalityKind.Gravity).shape == (0, 4)
 
 
 def test_validate_never_raises_on_bad_values():
     session = Session(
         "s", "d", TaskKind.Tapping, SessionRole.Unlabeled,
-        {ModalityKind.Touch: (TouchEvent(0, 2.0, -1.0, 7),)}, subject_id="u",
+        {ModalityKind.Touch: _touch([(0, 2.0, -1.0, 7)])}, subject_id="u",
     )
     report = validate_session(session)
     assert any("coordinate" in f for f in report) and any("action" in f for f in report)
@@ -198,48 +279,55 @@ def test_validate_never_raises_on_bad_values():
 # --- slice_strokes ----------------------------------------------------------
 
 def test_slice_simple_stroke():
-    events = [_touch(0, 0.1, 0.1, 0), _touch(10, 0.2, 0.2, 2), _touch(20, 0.3, 0.3, 2), _touch(30, 0.4, 0.4, 1)]
-    sliced = slice_strokes(events)
+    touch = _touch([(0, 0.1, 0.1, 0), (10, 0.2, 0.2, 2), (20, 0.3, 0.3, 2), (30, 0.4, 0.4, 1)])
+    sliced = slice_strokes(touch)
     assert len(sliced.strokes) == 1
-    assert len(sliced.strokes[0].events) == 4
+    assert np.array_equal(sliced.strokes[0], touch)
+    assert not sliced.strokes[0].flags.writeable
     assert sliced.dropped_events == 0
 
 
 def test_slice_drops_leading_orphans():
-    events = [_touch(0, 0.1, 0.1, 2), _touch(5, 0.1, 0.1, 1),
-              _touch(10, 0.2, 0.2, 0), _touch(15, 0.3, 0.3, 2), _touch(20, 0.4, 0.4, 1)]
-    sliced = slice_strokes(events)
+    touch = _touch([(0, 0.1, 0.1, 2), (5, 0.1, 0.1, 1),
+                    (10, 0.2, 0.2, 0), (15, 0.3, 0.3, 2), (20, 0.4, 0.4, 1)])
+    sliced = slice_strokes(touch)
     assert len(sliced.strokes) == 1
     assert sliced.dropped_events == 2
 
 
 def test_slice_drops_unclosed_run():
-    events = [_touch(0, 0.1, 0.1, 0), _touch(10, 0.2, 0.2, 2)]
-    sliced = slice_strokes(events)
+    sliced = slice_strokes(_touch([(0, 0.1, 0.1, 0), (10, 0.2, 0.2, 2)]))
     assert sliced.strokes == ()
     assert sliced.dropped_events == 2
 
 
 def test_slice_second_down_restarts_run():
-    events = [_touch(0, 0.1, 0.1, 0), _touch(5, 0.2, 0.2, 2),
-              _touch(10, 0.3, 0.3, 0), _touch(15, 0.4, 0.4, 1)]
-    sliced = slice_strokes(events)
+    touch = _touch([(0, 0.1, 0.1, 0), (5, 0.2, 0.2, 2),
+                    (10, 0.3, 0.3, 0), (15, 0.4, 0.4, 1)])
+    sliced = slice_strokes(touch)
     assert len(sliced.strokes) == 1
-    assert sliced.strokes[0].events[0].timestamp == 10
+    assert sliced.strokes[0][0, COL_T] == 10
     assert sliced.dropped_events == 2
+
+
+def test_slice_invalid_action_ends_the_run():
+    touch = _touch([(0, 0.1, 0.1, 0), (5, 0.2, 0.2, 7), (10, 0.3, 0.3, 2), (15, 0.4, 0.4, 1),
+                    (20, 0.1, 0.1, 0), (25, 0.2, 0.2, 1)])
+    sliced = slice_strokes(touch)
+    assert [s[:, COL_T].tolist() for s in sliced.strokes] == [[20.0, 25.0]]
+    assert sliced.dropped_events == 4
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from([0, 1, 2]), max_size=40))
 def test_slice_partition_property(actions):
-    events = [_touch(i * 10, 0.5, 0.5, a) for i, a in enumerate(actions)]
-    sliced = slice_strokes(events)
-    retained = [e for s in sliced.strokes for e in s.events]
+    touch = _touch([(i * 10, 0.5, 0.5, a) for i, a in enumerate(actions)])
+    sliced = slice_strokes(touch)
+    retained = [t for s in sliced.strokes for t in s[:, COL_T].tolist()]
     # disjoint, ordered, and retained + dropped covers everything exactly once
-    assert len(set(id(e) for e in retained)) == len(retained)
-    assert retained == sorted(retained, key=lambda e: e.timestamp)
-    assert len(retained) + sliced.dropped_events == len(events)
+    assert retained == sorted(set(retained))
+    assert len(retained) + sliced.dropped_events == len(touch)
     for stroke in sliced.strokes:
-        assert stroke.events[0].action == 0
-        assert stroke.events[-1].action == 1
-        assert all(e.action == 2 for e in stroke.events[1:-1])
+        actions_in = stroke[:, COL_ACTION].tolist()
+        assert actions_in[0] == 0 and actions_in[-1] == 1
+        assert all(a == 2 for a in actions_in[1:-1])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bbauth.data import ModalityKind, SensorSample, Session, SessionRole, TaskKind, TouchEvent
+from bbauth.data import ModalityKind, Session, SessionRole, TaskKind, make_stream
 from bbauth.dwt import (
     DwtImageConfig,
     DwtPair,
@@ -11,10 +11,8 @@ from bbauth.dwt import (
     coif1,
     dwt_level1,
     dwt_score,
-    export_image_text,
     idwt_level1,
     keystroke_third_channel,
-    parse_image_text,
     quadrature_mirror,
     recursive_average,
     task_image,
@@ -146,11 +144,13 @@ def test_keystroke_third_channel():
 
 def _constant_session(task=TaskKind.Tapping):
     streams = {
-        ModalityKind.Touch: tuple(TouchEvent(i * 50, 0.5, 0.5, 2) for i in range(20)),
+        ModalityKind.Touch: make_stream(
+            ModalityKind.Touch, [(i * 50, 0.5, 0.5, 2) for i in range(20)]
+        ),
     }
     for sensor in (ModalityKind.Accelerometer, ModalityKind.Gyroscope, ModalityKind.Magnetometer,
                    ModalityKind.LinearAccelerometer, ModalityKind.Gravity):
-        streams[sensor] = tuple(SensorSample(i * 50, 1.0, 2.0, 3.0) for i in range(20))
+        streams[sensor] = make_stream(sensor, [(i * 50, 1.0, 2.0, 3.0) for i in range(20)])
     return Session("s", "d", task, SessionRole.Unlabeled, streams, subject_id="u")
 
 
@@ -209,9 +209,3 @@ def test_dwt_score_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         dwt_score([ModalityImage(np.zeros((4, 4, 3)))], ModalityImage(np.zeros((2, 4, 3))))
 
-
-def test_image_text_roundtrip():
-    rng = np.random.default_rng(10)
-    image = ModalityImage(rng.random((3, 5, 3)))
-    again = parse_image_text(export_image_text(image))
-    assert np.array_equal(again.pixels, image.pixels)

@@ -57,6 +57,9 @@ def test_import_rejects_bad_rows():
         import_released_obj(broken, SplitKind.Train)
     with pytest.raises(SchemaViolation):
         import_released_obj(["not", "a", "dict"], SplitKind.Train)
+    unparsable = {"u": {"s": {"tapping": {"touch": [[0, 0.5, 0.5, 0], [10, "left", 0.5, 1]]}}}}
+    with pytest.raises(SchemaViolation, match=r"touch\[1\]: x:"):
+        import_released_obj(unparsable, SplitKind.Train)
 
 
 def test_import_released_file(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbauth.data import KeystrokeEvent, ModalityKind, Session, SessionRole, TaskKind
+from bbauth.data import COL_T, ModalityKind, Session, SessionRole, TaskKind, make_stream
 from bbauth.errors import BothEmpty, EmptyIntersection, NoKeystrokeData
 from bbauth.keystroke import (
     NgramStats,
@@ -19,7 +19,7 @@ from bbauth.keystroke import (
 
 
 def _events(pairs):
-    return [KeystrokeEvent(t, code) for t, code in pairs]
+    return make_stream(ModalityKind.Keystroke, pairs)
 
 
 THE = _events([(0, ord("t")), (80, ord("h")), (200, ord("e"))])
@@ -165,12 +165,12 @@ def _typed_session(text, sid="s", latency=None):
     """Deterministic typing: latency for pair (a, b) varies with the codes."""
     codes = [ord(c) for c in text]
     t = 0
-    events = [KeystrokeEvent(0, codes[0])]
+    times = [0]
     for prev, code in zip(codes, codes[1:]):
         t += latency(prev, code) if latency else 60 + (prev * 7 + code * 13) % 90
-        events.append(KeystrokeEvent(t, code))
+        times.append(t)
     return Session(sid, "d", TaskKind.Keystroke, SessionRole.Unlabeled,
-                   {ModalityKind.Keystroke: tuple(events)}, subject_id="u")
+                   {ModalityKind.Keystroke: _events(list(zip(times, codes)))}, subject_id="u")
 
 
 RICH_TEXT = "the the the the"  # every n-gram occurs at least 3 times
@@ -201,12 +201,10 @@ def test_score_pooling_idempotent_on_identical_enrolls():
 
 def test_score_timestamp_shift_invariant():
     def shifted(session, delta):
-        events = tuple(
-            KeystrokeEvent(e.timestamp + delta, e.ascii_code)
-            for e in session.stream(ModalityKind.Keystroke)
-        )
+        keystrokes = session.stream(ModalityKind.Keystroke).copy()
+        keystrokes[:, COL_T] += delta
         return Session("s2", "d", TaskKind.Keystroke, SessionRole.Unlabeled,
-                       {ModalityKind.Keystroke: events}, subject_id="u")
+                       {ModalityKind.Keystroke: _events(keystrokes)}, subject_id="u")
 
     enroll = _typed_session("the quick brown fox the quick", "e1")
     verify = _typed_session("the brown quick fox the fox", "v1")

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbauth.data import ModalityKind, SensorSample, Session, SessionRole, TaskKind
+from bbauth.data import ModalityKind, Session, SessionRole, TaskKind, make_stream
 from bbauth.errors import EmptySeries, MissingModality
 from bbauth.preprocess import (
     UniformSeries,
     compute_target_lengths,
     minmax_normalize,
-    pad_or_truncate,
     resample_linear,
     stack_modalities,
 )
@@ -88,16 +87,6 @@ def test_minmax_idempotent_on_normalized():
     assert np.allclose(once.values, twice.values)
 
 
-def test_pad_or_truncate():
-    series = UniformSeries(np.arange(10.0).reshape(5, 2), ("a", "b"))
-    assert np.array_equal(pad_or_truncate(series, 5).values, series.values)
-    padded = pad_or_truncate(series, 7)
-    assert padded.values.shape == (7, 2)
-    assert np.all(padded.values[5:] == 0.0)
-    truncated = pad_or_truncate(series, 3)
-    assert np.array_equal(truncated.values, series.values[:3])
-
-
 def _sensor_session(n=20, missing=None, task=TaskKind.Tapping):
     streams = {}
     for idx, sensor in enumerate(
@@ -106,8 +95,8 @@ def _sensor_session(n=20, missing=None, task=TaskKind.Tapping):
     ):
         if sensor is missing:
             continue
-        streams[sensor] = tuple(
-            SensorSample(i * 50, float(i + idx), float(i * 2), float(idx)) for i in range(n)
+        streams[sensor] = make_stream(
+            sensor, [(i * 50, float(i + idx), float(i * 2), float(idx)) for i in range(n)]
         )
     return Session("s", "d", task, SessionRole.Unlabeled, streams, subject_id="u")
 

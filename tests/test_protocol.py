@@ -146,6 +146,21 @@ def test_auc_complement_exact(genuine, impostor):
     assert Fraction(num_gi, den) + Fraction(num_ig, den) == 1
 
 
+_SPECIAL_SCORES = st.sampled_from([0.0, 0.5, 1.0, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_SPECIAL_SCORES, min_size=1, max_size=25),
+    st.lists(_SPECIAL_SCORES, min_size=1, max_size=25),
+)
+def test_auc_counts_match_pairwise_count(genuine, impostor):
+    # ties and both infinities count as in a pairwise loop; NaN wins and ties against nothing
+    wins = sum(g > i for g in genuine for i in impostor)
+    ties = sum(g == i for g in genuine for i in impostor)
+    assert auc_counts(genuine, impostor) == (2 * wins + ties, 2 * len(genuine) * len(impostor))
+
+
 def test_auc_invariant_under_monotone_transform():
     rng = np.random.default_rng(20)
     genuine = list(rng.choice([0.1, 0.2, 0.5, 0.9], size=12))

@@ -45,7 +45,7 @@ def test_scores_cover_list_in_order(tiny_generated):
 def test_score_errors_name_the_comparison(tiny_generated):
     import dataclasses
 
-    from bbauth.data import ModalityKind
+    from bbauth.data import ModalityKind, make_stream
     from bbauth.errors import NoStrokes
 
     split = tiny_generated.evaluation
@@ -55,7 +55,7 @@ def test_score_errors_name_the_comparison(tiny_generated):
     for s in split.sessions:
         if s.session_id == target.verification_session_id:
             streams = dict(s.streams)
-            streams[ModalityKind.Touch] = ()
+            streams[ModalityKind.Touch] = make_stream(ModalityKind.Touch, [])
             s = dataclasses.replace(s, streams=streams)
         broken_sessions.append(s)
     broken = dataclasses.replace(split, sessions=tuple(broken_sessions))

@@ -7,8 +7,8 @@ from bbauth.errors import DegeneratePairs, ShapeMismatch
 from bbauth.siamese import (
     PairSet,
     TrainConfig,
+    _pair_loss_and_embedding_grads,
     build_pair_set,
-    contrastive_loss,
     forward,
     grad_check,
     init_network,
@@ -88,12 +88,19 @@ def test_forward_shape_mismatch():
 
 
 def test_contrastive_loss_values():
-    assert contrastive_loss(0.0, 1, 1.0) == 0.0
-    assert contrastive_loss(0.0, 0, 1.0) == 1.0
-    assert contrastive_loss(1.0, 0, 1.0) == 0.0
-    assert contrastive_loss(2.5, 0, 1.0) == 0.0
-    assert contrastive_loss(0.5, 0, 1.0) == 0.25
-    assert contrastive_loss(0.5, 1, 1.0) == 0.25
+    # d^2 for same-subject pairs, hinge(margin - d)^2 for impostor pairs, margin 1
+    cases = [
+        (0.0, 1, 0.0), (0.0, 0, 1.0), (1.0, 0, 0.0), (2.5, 0, 0.0), (0.5, 0, 0.25), (0.5, 1, 0.25),
+    ]
+    for d, label, expected in cases:
+        loss, _, _ = _pair_loss_and_embedding_grads(
+            np.array([[d, 0.0]]), np.zeros((1, 2)), np.array([label]), 1.0)
+        assert loss == expected
+    d = np.array([c[0] for c in cases])
+    labels = np.array([c[1] for c in cases])
+    mean, _, _ = _pair_loss_and_embedding_grads(
+        np.column_stack([d, np.zeros_like(d)]), np.zeros((len(d), 2)), labels, 1.0)
+    assert math.isclose(mean, sum(c[2] for c in cases) / len(cases), rel_tol=1e-15)
 
 
 def test_grad_check_passes_for_analytic_gradients():

@@ -3,6 +3,9 @@ import pytest
 from scipy import stats
 
 from bbauth.data import (
+    COL_ACTION,
+    COL_X,
+    COL_Y,
     ModalityKind,
     SessionRole,
     SplitKind,
@@ -89,7 +92,7 @@ def test_keys_cover_all_tasks(tiny_generated):
 
 def test_tapping_sessions_alternate_down_up(tiny_generated):
     for session in tiny_generated.evaluation.sessions_for(TaskKind.Tapping):
-        actions = [e.action for e in session.stream(ModalityKind.Touch)]
+        actions = session.stream(ModalityKind.Touch)[:, COL_ACTION].tolist()
         assert set(actions) <= {0, 1}
         assert actions == [i % 2 for i in range(len(actions))]
 
@@ -100,8 +103,8 @@ def test_swipe_orientation_matches_task(tiny_generated):
     for task, vertical in ((TaskKind.TextReading, True), (TaskKind.GallerySwiping, False)):
         for session in tiny_generated.evaluation.sessions_for(task):
             for stroke in slice_strokes(session.stream(ModalityKind.Touch)).strokes:
-                dx = abs(stroke.events[-1].x - stroke.events[0].x)
-                dy = abs(stroke.events[-1].y - stroke.events[0].y)
+                dx = abs(stroke[-1, COL_X] - stroke[0, COL_X])
+                dy = abs(stroke[-1, COL_Y] - stroke[0, COL_Y])
                 if vertical:
                     assert dy > dx
                 else:
@@ -123,13 +126,16 @@ def test_device_bias_is_only_device_term():
     seed = (11, 2, 3, 0, 0, 0)
     session_a = generate_session(user, device_a, TaskKind.Tapping, seed)
     session_b = generate_session(user, device_b, TaskKind.Tapping, seed)
-    assert session_a.streams == session_b.streams
+    assert session_a.streams.keys() == session_b.streams.keys()
+    for modality, stream in session_a.streams.items():
+        assert np.array_equal(stream, session_b.streams[modality])
 
     biased = GenConfig(n_users=2, n_train_users=2, n_validation_users=2,
                        device_bias_beta=0.4, master_seed=11)
     device_c = sample_device_profile(biased, SplitKind.Evaluation, 1)
     session_c = generate_session(user, device_c, TaskKind.Tapping, seed)
-    assert session_c.streams[ModalityKind.Accelerometer] != session_a.streams[ModalityKind.Accelerometer]
+    assert not np.array_equal(session_c.streams[ModalityKind.Accelerometer],
+                              session_a.streams[ModalityKind.Accelerometer])
 
 
 def test_blend_profiles_endpoints():

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbauth.data import (
-    KeystrokeEvent,
-    ModalityKind,
-    Session,
-    SessionRole,
-    Stroke,
-    TaskKind,
-    TouchEvent,
-)
+from bbauth.data import COL_X, COL_Y, ModalityKind, Session, SessionRole, TaskKind, make_stream
 from bbauth.errors import DegenerateStroke, InsufficientEvents, NoStrokes
 from bbauth.touch import (
     FEATURE_NAMES,
@@ -27,11 +19,11 @@ from bbauth.touch import (
 
 
 def _stroke(points):
-    events = []
+    rows = []
     for i, (t, x, y) in enumerate(points):
         action = 0 if i == 0 else (1 if i == len(points) - 1 else 2)
-        events.append(TouchEvent(t, x, y, action))
-    return Stroke(tuple(events))
+        rows.append((t, x, y, action))
+    return make_stream(ModalityKind.Touch, rows)
 
 
 STRAIGHT = _stroke([(0, 0.0, 0.0), (100, 0.3, 0.1), (200, 0.6, 0.2)])
@@ -93,8 +85,8 @@ def test_features_shift_invariant_and_time_equivariant():
 def test_percentiles_within_sample_range(points):
     stroke = _stroke([(i * 20, x, y) for i, (x, y) in enumerate(points)])
     f = swipe_features(stroke, (0.5, 0.5))
-    xs = [e.x for e in stroke.events]
-    ys = [e.y for e in stroke.events]
+    xs = stroke[:, COL_X].tolist()
+    ys = stroke[:, COL_Y].tolist()
     deviations = [math.hypot(x - 0.5, y - 0.5) for x, y in zip(xs, ys)]
     assert min(deviations) - 1e-12 <= f.dev_p20 <= max(deviations) + 1e-12
     assert min(deviations) - 1e-12 <= f.dev_p80 <= max(deviations) + 1e-12
@@ -173,8 +165,9 @@ def _session(task, streams):
 
 
 def test_dtw_sequence_keystroke_differences():
-    events = tuple(KeystrokeEvent(t, 65 + i) for i, t in enumerate([0, 100, 250, 450]))
-    session = _session(TaskKind.Keystroke, {ModalityKind.Keystroke: events})
+    rows = [(t, 65 + i) for i, t in enumerate([0, 100, 250, 450])]
+    keystrokes = make_stream(ModalityKind.Keystroke, rows)
+    session = _session(TaskKind.Keystroke, {ModalityKind.Keystroke: keystrokes})
     rows = build_dtw_sequence(session, TaskKind.Keystroke)
     assert rows.shape == (4, 4)
     assert np.allclose(rows[:, 0], [100, 150, 200, 0])
@@ -184,27 +177,27 @@ def test_dtw_sequence_keystroke_differences():
 
 
 def test_dtw_sequence_keystroke_needs_four_events():
-    events = tuple(KeystrokeEvent(t, 65) for t in (0, 10, 20))
-    session = _session(TaskKind.Keystroke, {ModalityKind.Keystroke: events})
+    keystrokes = make_stream(ModalityKind.Keystroke, [(t, 65) for t in (0, 10, 20)])
+    session = _session(TaskKind.Keystroke, {ModalityKind.Keystroke: keystrokes})
     with pytest.raises(InsufficientEvents):
         build_dtw_sequence(session, TaskKind.Keystroke)
 
 
 def test_dtw_sequence_taps():
-    touch = (
-        TouchEvent(0, 0.2, 0.3, 0), TouchEvent(80, 0.2, 0.3, 1),
-        TouchEvent(300, 0.4, 0.5, 0), TouchEvent(390, 0.4, 0.5, 1),
-    )
+    touch = make_stream(ModalityKind.Touch, [
+        (0, 0.2, 0.3, 0), (80, 0.2, 0.3, 1),
+        (300, 0.4, 0.5, 0), (390, 0.4, 0.5, 1),
+    ])
     session = _session(TaskKind.Tapping, {ModalityKind.Touch: touch})
     rows = build_dtw_sequence(session, TaskKind.Tapping)
     assert np.allclose(rows, [[80, 220, 0.2, 0.3], [90, 0, 0.4, 0.5]])
 
 
 def test_dtw_sequence_swipes():
-    touch = (
-        TouchEvent(0, 0.0, 0.0, 0), TouchEvent(100, 0.3, 0.4, 1),
-        TouchEvent(400, 0.0, 0.0, 0), TouchEvent(500, 0.0, 0.1, 1),
-    )
+    touch = make_stream(ModalityKind.Touch, [
+        (0, 0.0, 0.0, 0), (100, 0.3, 0.4, 1),
+        (400, 0.0, 0.0, 0), (500, 0.0, 0.1, 1),
+    ])
     session = _session(TaskKind.GallerySwiping, {ModalityKind.Touch: touch})
     rows = build_dtw_sequence(session, TaskKind.GallerySwiping)
     assert rows.shape == (2, 4)
@@ -213,7 +206,7 @@ def test_dtw_sequence_swipes():
 
 
 def test_dtw_sequence_empty_touch():
-    session = _session(TaskKind.Tapping, {ModalityKind.Touch: ()})
+    session = _session(TaskKind.Tapping, {ModalityKind.Touch: make_stream(ModalityKind.Touch, [])})
     rows = build_dtw_sequence(session, TaskKind.Tapping)
     assert rows.shape == (0, 4)
 
