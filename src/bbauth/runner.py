@@ -17,13 +17,13 @@ import numpy as np
 
 from .data import DatasetSplit, Session, TaskKind
 from .dwt import DwtImageConfig, dwt_score, task_image
-from .errors import BBAuthError
+from .errors import BBAuthError, EmptySequence
 from .keystroke import keystroke_score
 from .preprocess import compute_target_lengths, stack_modalities
 from .protocol import ComparisonList
 from .siamese import TrainConfig, build_pair_set, forward, siamese_score, train
-from .softdtw import SoftDtwCalibration, calibrate, softdtw_score
-from .touch import build_template, session_feature_vectors, template_score
+from .softdtw import SoftDtwCalibration, calibrate, fit_feature_scale, softdtw_score
+from .touch import build_dtw_sequence, build_template, session_feature_vectors, template_score
 
 MATCHERS = ("keystroke-ngram", "swipe-template", "dwt-distance", "softdtw", "siamese")
 
@@ -107,11 +107,17 @@ class _SoftDtwMatcher:
             self.tau = calibration.tau
             self.scale = calibration.scale
 
-    def prepare(self, session: Session) -> Session:
-        return session
+    def prepare(self, session: Session) -> np.ndarray:
+        sequence = build_dtw_sequence(session, self.task)
+        if len(sequence) == 0:
+            raise EmptySequence("the alignment sequence is empty (no strokes)")
+        return sequence if self.scale is None else self.scale.apply(sequence)
 
     def score(self, enroll, verify) -> float:
-        return softdtw_score(list(enroll), verify, self.task, self.gamma, self.tau, self.scale)
+        if self.scale is None:  # tau from the config: scale on the compared sequences' rows
+            pooled = fit_feature_scale([*enroll, verify])
+            enroll, verify = [pooled.apply(s) for s in enroll], pooled.apply(verify)
+        return softdtw_score(enroll, verify, self.gamma, self.tau)
 
 
 class _SiameseMatcher:
@@ -190,7 +196,12 @@ def score_comparisons(
         raise BBAuthError("comparison list names unknown sessions: " + ", ".join(sorted(missing)))
 
     t0 = time.perf_counter()
-    artifacts = {sid: matcher.prepare(sessions[sid]) for sid in needed}
+    artifacts = {}
+    for sid in needed:
+        try:
+            artifacts[sid] = matcher.prepare(sessions[sid])
+        except BBAuthError as exc:
+            raise type(exc)(f"session {sid!r}: {exc}") from None
     t_prepare = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -1,9 +1,10 @@
 """Soft and hard dynamic time warping over per-task feature sequences.
 
-The accumulated-cost recursion is evaluated along anti-diagonals so the
-O(m*n) table fills with vectorized operations; local cost is squared
-Euclidean distance. `soft_dtw` uses a smoothed minimum with temperature
-gamma and lower-bounds `dtw` for every gamma > 0.
+The accumulated-cost recursion fills the O(m*n) table row by row with
+scalar Python arithmetic over the local-cost matrix, which numpy builds
+in one step; local cost is squared Euclidean distance. `soft_dtw` uses
+a smoothed minimum with temperature gamma (Cuturi & Blondel, ICML 2017)
+and lower-bounds `dtw` for every gamma > 0.
 """
 
 from __future__ import annotations
@@ -14,32 +15,9 @@ from statistics import median
 
 import numpy as np
 
-from .data import DatasetSplit, Session, TaskKind
-from .errors import DimensionMismatch, EmptySequence
+from .data import DatasetSplit, TaskKind
+from .errors import BBAuthError, DimensionMismatch, EmptySequence
 from .touch import build_dtw_sequence
-
-
-def softmin(a: float, b: float, c: float, gamma: float) -> float:
-    """Smoothed minimum -gamma*ln(sum exp(-x/gamma)); never above min(a,b,c)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
-    lo = min(a, b, c)
-    if math.isinf(lo):
-        return lo
-    z = sum(math.exp(-(x - lo) / gamma) for x in (a, b, c))
-    return lo - gamma * math.log(z)
-
-
-def _softmin_vec(a: np.ndarray, b: np.ndarray, c: np.ndarray, gamma: float) -> np.ndarray:
-    stacked = np.stack([a, b, c])
-    lo = stacked.min(axis=0)
-    finite = np.isfinite(lo)
-    out = lo.copy()
-    if finite.any():
-        with np.errstate(invalid="ignore"):
-            z = np.exp(-(stacked[:, finite] - lo[finite]) / gamma)
-        out[finite] = lo[finite] - gamma * np.log(z.sum(axis=0))
-    return out
 
 
 def _as_sequence(seq) -> np.ndarray:
@@ -63,30 +41,34 @@ def alignment_cost_table(x, y, gamma: float | None = None) -> np.ndarray:
 
     Borders are +inf except the origin, which is 0; the interior is
     finite. `gamma=None` accumulates with the hard minimum, a positive
-    gamma with the smoothed one (where interior entries may dip below
-    the hard values). Filled along anti-diagonals, so each step is a
-    vectorized gather.
+    gamma with the smoothed one, `lo - gamma*log(sum exp(-(v - lo)/gamma))`
+    over the three predecessors (where interior entries may dip below
+    the hard values). Filled row by row in Python floats: at the table
+    sizes the matchers build, per-cell scalar steps cost less than
+    per-diagonal numpy calls.
     """
     if gamma is not None and gamma <= 0:
         raise ValueError("gamma must be > 0")
-    cost = _cost_matrix(_as_sequence(x), _as_sequence(y))
-    m, n = cost.shape
-    table = np.full((m + 1, n + 1), np.inf)
-    table[0, 0] = 0.0
-    for d in range(2, m + n + 1):
-        i = np.arange(max(1, d - n), min(m, d - 1) + 1)
-        if i.size == 0:
-            continue
-        j = d - i
-        a = table[i - 1, j]
-        b = table[i, j - 1]
-        c = table[i - 1, j - 1]
-        if gamma is None:
-            best = np.minimum(np.minimum(a, b), c)
-        else:
-            best = _softmin_vec(a, b, c, gamma)
-        table[i, j] = cost[i - 1, j - 1] + best
-    return table
+    cost = _cost_matrix(_as_sequence(x), _as_sequence(y)).tolist()
+    inf = math.inf
+    exp, log = math.exp, math.log
+    up = [0.0] + [inf] * len(cost[0])
+    table = [up]
+    for cost_row in cost:
+        row = [inf]
+        left = inf
+        for diag, above, local in zip(up, up[1:], cost_row):
+            lo = above if above < left else left
+            if diag < lo:
+                lo = diag
+            if gamma is not None and lo != inf:
+                lo -= gamma * log(exp(-(above - lo) / gamma) + exp(-(left - lo) / gamma)
+                                  + exp(-(diag - lo) / gamma))
+            left = local + lo
+            row.append(left)
+        table.append(row)
+        up = row
+    return np.array(table)
 
 
 def soft_dtw(x, y, gamma: float) -> float:
@@ -124,31 +106,23 @@ def fit_feature_scale(sequences: list[np.ndarray]) -> FeatureScale:
 
 
 def softdtw_score(
-    enroll_sessions: list[Session],
-    verify_session: Session,
-    task: TaskKind,
+    enroll_sequences: list[np.ndarray],
+    verify_sequence: np.ndarray,
     gamma: float,
     tau: float,
-    scale: FeatureScale | None = None,
 ) -> float:
     """exp(-d/tau) where d is the smallest soft alignment cost between the
     verify sequence and any enrollment sequence, floored at 0.
 
-    Feature dimensions are MinMax-scaled to [0, 1], so a gamma small next
-    to the per-step cost (see `RunConfig.gamma`) keeps d close to the
-    hard alignment cost; a large gamma can drive d below 0, where the
-    floor maps the comparison to 1. With a training-fitted `scale` (see
-    :func:`calibrate`) the scaling is the same for every comparison;
-    without one it falls back to the pooled rows of the compared
-    sequences. `tau` should come from the same calibration.
+    Takes prepared sequences: `build_dtw_sequence` rows MinMax-scaled to
+    [0, 1] by one `FeatureScale`, the training-fitted one (see
+    :func:`calibrate`) or one fitted on the pooled rows of the compared
+    sequences. A gamma small next to the per-step cost (see
+    `RunConfig.gamma`) then keeps d close to the hard alignment cost; a
+    large gamma can drive d below 0, where the floor maps the comparison
+    to 1. `tau` should come from the same calibration.
     """
-    sequences = [_as_sequence(build_dtw_sequence(s, task)) for s in enroll_sessions]
-    verify = _as_sequence(build_dtw_sequence(verify_session, task))
-    if scale is None:
-        scale = fit_feature_scale(sequences + [verify])
-    sequences = [scale.apply(s) for s in sequences]
-    verify = scale.apply(verify)
-    d = min(soft_dtw(seq, verify, gamma) for seq in sequences)
+    d = min(soft_dtw(seq, verify_sequence, gamma) for seq in enroll_sequences)
     return math.exp(-max(d, 0.0) / tau)
 
 
@@ -166,7 +140,10 @@ def calibrate(train_split: DatasetSplit, task: TaskKind, gamma: float) -> SoftDt
     for s in train_split.sessions_for(task):
         if s.subject_id is None:
             continue
-        seq = _as_sequence(build_dtw_sequence(s, task))
+        try:
+            seq = _as_sequence(build_dtw_sequence(s, task))
+        except BBAuthError as exc:
+            raise type(exc)(f"session {s.session_id!r}: {exc}") from None
         all_sequences.append(seq)
         by_subject.setdefault(s.subject_id, []).append(seq)
     if not all_sequences:

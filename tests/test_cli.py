@@ -292,6 +292,23 @@ def test_config_file_unknown_key_exit_4(synth_dir, tmp_path, capsys):
     ]) == 4
 
 
+def test_score_names_the_session_whose_prepare_fails(synth_dir, tmp_path, capsys):
+    comparisons = synth_dir / "comparisons_evaluation_tapping.json"
+    target = comparison_list_from_json(comparisons.read_text()).comparisons[0]
+    sid = target.verification_session_id
+    document = json.loads((synth_dir / "evaluation.json").read_text())
+    for session in document["sessions"]:
+        if session["session_id"] == sid:
+            session["streams"]["touch"] = []
+    broken = tmp_path / "evaluation.json"
+    broken.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["score", "--data", str(broken), "--comparisons", str(comparisons),
+                 "--train", str(synth_dir / "train.json"), "--matcher", "softdtw",
+                 "--out", str(tmp_path / "s.csv")]) == 4
+    assert f"session {sid!r}" in capsys.readouterr().err
+
+
 def test_io_failure_exit_3(tmp_path):
     code = main(["grade", "--scores", str(tmp_path / "missing.csv"),
                  "--key", str(tmp_path / "missing.json")])

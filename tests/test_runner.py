@@ -70,3 +70,29 @@ def test_softdtw_needs_train_for_calibration(tiny_generated):
     explicit_tau = RunConfig("softdtw", TaskKind.Tapping, tau=0.5)
     run = score_comparisons(tiny_generated.evaluation, clist, explicit_tau)
     assert len(run.scores) == len(clist.comparisons)
+
+
+def test_softdtw_builds_each_sequence_once(tiny_generated, monkeypatch):
+    from collections import Counter
+
+    from bbauth import runner, softdtw, touch
+
+    calls = []
+
+    def counting(session, task):
+        calls.append(session.session_id)
+        return touch.build_dtw_sequence(session, task)
+
+    monkeypatch.setattr(runner, "build_dtw_sequence", counting)
+    monkeypatch.setattr(softdtw, "build_dtw_sequence", counting)
+    clist, _ = tiny_generated.keys[(SplitKind.Evaluation, TaskKind.Tapping)]
+    named = {sid for c in clist.comparisons
+             for sid in (*c.enrollment_session_ids, c.verification_session_id)}
+    training = [s.session_id for s in tiny_generated.train.sessions_for(TaskKind.Tapping)]
+    score_comparisons(tiny_generated.evaluation, clist, RunConfig("softdtw", TaskKind.Tapping),
+                      tiny_generated.train)
+    assert Counter(calls) == Counter([*named, *training])
+    calls.clear()
+    score_comparisons(tiny_generated.evaluation, clist,
+                      RunConfig("softdtw", TaskKind.Tapping, tau=0.5))
+    assert Counter(calls) == Counter(named)

@@ -1,11 +1,15 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
+from test_acceptance import _monotone_paths
 
-from bbauth.data import TaskKind
+from bbauth.data import ModalityKind, TaskKind, make_stream
 from bbauth.errors import DimensionMismatch, EmptySequence
 from bbauth.softdtw import (
     alignment_cost_table,
@@ -14,57 +18,60 @@ from bbauth.softdtw import (
     fit_feature_scale,
     soft_dtw,
     softdtw_score,
-    softmin,
 )
+from bbauth.touch import build_dtw_sequence
+
+
+def _path_costs(x, y):
+    """Total local cost of every monotone alignment of x and y."""
+    x = np.asarray(x, dtype=float).reshape(len(x), -1)
+    y = np.asarray(y, dtype=float).reshape(len(y), -1)
+    cost = (((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)).reshape(-1)
+    return np.array([cost[path].sum() for path in _monotone_paths(len(x), len(y))])
 
 
 def exhaustive_dtw(x, y):
     """Oracle: minimize total cost over every monotone alignment path."""
-    x = np.atleast_2d(np.asarray(x, dtype=float).T).T if np.asarray(x).ndim == 1 else np.asarray(x)
-    y = np.atleast_2d(np.asarray(y, dtype=float).T).T if np.asarray(y).ndim == 1 else np.asarray(y)
-    x = x.reshape(len(x), -1)
-    y = y.reshape(len(y), -1)
-    m, n = len(x), len(y)
-    best = [math.inf]
-
-    def cost(i, j):
-        d = x[i] - y[j]
-        return float(d @ d)
-
-    def walk(i, j, acc):
-        acc += cost(i, j)
-        if acc >= best[0]:
-            return
-        if i == m - 1 and j == n - 1:
-            best[0] = acc
-            return
-        if i + 1 < m:
-            walk(i + 1, j, acc)
-        if j + 1 < n:
-            walk(i, j + 1, acc)
-        if i + 1 < m and j + 1 < n:
-            walk(i + 1, j + 1, acc)
-
-    walk(0, 0, 0.0)
-    return best[0]
+    return float(_path_costs(x, y).min())
 
 
-def test_softmin_hard_limit():
-    assert abs(softmin(1.0, 2.0, 3.0, 1e-6) - 1.0) < 1e-5
+def exhaustive_soft_dtw(x, y, gamma):
+    """Oracle: -gamma * log sum over every monotone alignment A of exp(-<A, cost>/gamma)."""
+    return float(-gamma * logsumexp(-_path_costs(x, y) / gamma))
 
 
-def test_softmin_closed_form_equal_args():
-    assert math.isclose(softmin(2.0, 2.0, 2.0, 1.0), 2.0 - math.log(3.0), rel_tol=1e-12)
+def test_soft_dtw_closed_form_equal_args():
+    # the last cell's three predecessors are all 0, so it adds -ln 3
+    assert math.isclose(soft_dtw([0.0, 0.0], [0.0, 0.0], 1.0), -math.log(3.0), rel_tol=1e-12)
 
 
-@settings(max_examples=200, deadline=None)
+@pytest.mark.parametrize("gamma", [1e-3, 0.05, 1.0, 5.0])
+def test_soft_dtw_matches_path_sum_oracle(gamma):
+    rng = np.random.default_rng(14)
+    for m, n in itertools.product(range(1, 6), repeat=2):
+        x, y = rng.random((m, 2)), rng.random((n, 2))
+        assert math.isclose(soft_dtw(x, y, gamma), exhaustive_soft_dtw(x, y, gamma),
+                            rel_tol=1e-12, abs_tol=1e-12), (m, n)
+
+
+def plain_min_recursion(xs, ys):
+    inf = math.inf
+    prev = [0.0] + [inf] * len(ys)
+    for xi in xs:
+        cur = [inf]
+        for j, yj in enumerate(ys, start=1):
+            cur.append((xi - yj) * (xi - yj) + min(prev[j], cur[j - 1], prev[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+@settings(max_examples=100, deadline=None)
 @given(
-    st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50)),
-    st.floats(0.01, 10.0),
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
 )
-def test_softmin_below_min(args, gamma):
-    a, b, c = args
-    assert softmin(a, b, c, gamma) <= min(a, b, c) + 1e-12
+def test_dtw_equals_plain_min_recursion(xs, ys):
+    assert dtw(xs, ys) == plain_min_recursion(xs, ys)
 
 
 def test_dtw_identical_is_zero():
@@ -145,29 +152,31 @@ def test_cost_table_structure():
 
 # --- score wrapper ----------------------------------------------------------
 
+def _prepared_pair(generated):
+    """Two tapping sequences, MinMax-scaled on their pooled rows."""
+    sessions = generated.evaluation.sessions_for(TaskKind.Tapping)[:2]
+    sequences = [build_dtw_sequence(s, TaskKind.Tapping) for s in sessions]
+    scale = fit_feature_scale(sequences)
+    return [scale.apply(s) for s in sequences]
+
+
 def test_score_identical_session_is_one(tiny_generated):
-    sessions = tiny_generated.evaluation.sessions_for(TaskKind.Tapping)
-    enroll, verify = sessions[0], sessions[0]
-    assert softdtw_score([enroll], verify, TaskKind.Tapping, gamma=0.1, tau=1.0) == 1.0
+    enroll, _ = _prepared_pair(tiny_generated)
+    assert softdtw_score([enroll], enroll, gamma=0.1, tau=1.0) == 1.0
 
 
 def test_score_exponential_mapping(tiny_generated):
-    sessions = tiny_generated.evaluation.sessions_for(TaskKind.Tapping)
-    enroll, verify = sessions[0], sessions[1]
-    base = softdtw_score([enroll], verify, TaskKind.Tapping, gamma=0.1, tau=1.0)
+    enroll, verify = _prepared_pair(tiny_generated)
+    base = softdtw_score([enroll], verify, gamma=0.1, tau=1.0)
     d = -math.log(base)
     if d > 0:
-        at_tau = softdtw_score([enroll], verify, TaskKind.Tapping, gamma=0.1, tau=d)
+        at_tau = softdtw_score([enroll], verify, gamma=0.1, tau=d)
         assert math.isclose(at_tau, math.exp(-1.0), rel_tol=1e-9)
 
 
 def test_score_monotone_in_tau(tiny_generated):
-    sessions = tiny_generated.evaluation.sessions_for(TaskKind.Tapping)
-    enroll, verify = sessions[0], sessions[1]
-    scores = [
-        softdtw_score([enroll], verify, TaskKind.Tapping, gamma=0.1, tau=tau)
-        for tau in (0.25, 1.0, 4.0)
-    ]
+    enroll, verify = _prepared_pair(tiny_generated)
+    scores = [softdtw_score([enroll], verify, gamma=0.1, tau=tau) for tau in (0.25, 1.0, 4.0)]
     assert scores == sorted(scores)
 
 
@@ -176,6 +185,17 @@ def test_calibrate_on_training_split(tiny_generated):
     assert calibration.tau > 0
     assert calibration.scale.lo.shape == (4,)
     assert np.all(calibration.scale.hi >= calibration.scale.lo)
+
+
+def test_calibrate_names_an_empty_training_session(tiny_generated):
+    train = tiny_generated.train
+    target = train.sessions_for(TaskKind.Tapping)[1]
+    empty = dataclasses.replace(
+        target, streams={**target.streams, ModalityKind.Touch: make_stream(ModalityKind.Touch, [])}
+    )
+    sessions = tuple(empty if s is target else s for s in train.sessions)
+    with pytest.raises(EmptySequence, match=repr(target.session_id)):
+        calibrate(dataclasses.replace(train, sessions=sessions), TaskKind.Tapping, gamma=0.1)
 
 
 def test_feature_scale_constant_dimension():

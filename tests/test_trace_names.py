@@ -70,3 +70,14 @@ def test_hooks_still_count(traced):
         assert tracer.quantities[quantity] > 0, quantity
     assert tracer.sessions["keystroke"] and tracer.sessions["dtw_sequence"]
     assert metrics["keystroke.ngram_extractions_per_session"][0] > 0
+
+
+def test_each_kernel_span_holds_one_table(traced):
+    # a public call per table cell would flood a traced benchmark run with spans
+    tracer, _, _ = traced
+    children: dict[int, list[str]] = {}
+    for name, parent in zip(tracer.names, tracer.parents):
+        children.setdefault(parent, []).append(name)
+    kernels = [i for i, name in enumerate(tracer.names) if name == "softdtw.soft_dtw"]
+    assert kernels
+    assert all(children.get(i) == ["softdtw.alignment_cost_table"] for i in kernels)
