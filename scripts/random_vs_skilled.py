@@ -13,34 +13,26 @@ import argparse
 import sys
 import time
 
-from bbauth.benchmark import PRIMARY_MATCHERS, run_benchmark
+from bbauth.benchmark import PRIMARY_MATCHERS, asymmetry_by_task
 from bbauth.synth import GenConfig
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, nargs="+", default=[42, 43, 44, 45, 46])
-    parser.add_argument("--alpha", type=float, default=0.5)
-    parser.add_argument("--beta", type=float, default=0.2)
+    parser.add_argument("--alpha", type=float, default=GenConfig.imitation_alpha)
+    parser.add_argument("--beta", type=float, default=GenConfig.device_bias_beta)
     args = parser.parse_args()
 
     started = time.perf_counter()
-    sums = {task: [0.0, 0.0] for task in PRIMARY_MATCHERS}
-    for seed in args.seeds:
-        config = GenConfig(
-            imitation_alpha=args.alpha, device_bias_beta=args.beta, master_seed=seed
-        )
-        combos = tuple((matcher, task) for task, matcher in PRIMARY_MATCHERS.items())
-        result = run_benchmark(config, combos=combos)
-        for (matcher, task), report in result.reports.items():
-            sums[task][0] += report.auc_random
-            sums[task][1] += report.auc_skilled
+    base = GenConfig(imitation_alpha=args.alpha, device_bias_beta=args.beta)
+    means = asymmetry_by_task(tuple(args.seeds), base)
 
     n = len(args.seeds)
     print(f"{'task':10s} {'matcher':18s} {'random':>7s} {'skilled':>8s}  harder scenario")
     favoring = 0
     for task, matcher in PRIMARY_MATCHERS.items():
-        random_auc, skilled_auc = sums[task][0] / n, sums[task][1] / n
+        random_auc, skilled_auc = means[task]
         harder = "skilled" if random_auc >= skilled_auc else "random"
         favoring += random_auc >= skilled_auc
         print(f"{task.value:10s} {matcher:18s} {random_auc:7.2f} {skilled_auc:8.2f}  {harder}")

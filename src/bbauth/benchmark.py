@@ -8,7 +8,7 @@ the wavelet-image and alignment matchers on tapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .data import SplitKind, TaskKind
 from .protocol import GradeReport, grade
@@ -61,12 +61,15 @@ def run_benchmark(
     return BenchmarkResult(generated, reports, scores)
 
 
-def asymmetry_by_task(seeds: tuple[int, ...]) -> dict[TaskKind, tuple[float, float]]:
-    """Mean (random AUC, skilled AUC) per task over the given master seeds."""
+def asymmetry_by_task(
+    seeds: tuple[int, ...], base: GenConfig = GenConfig()
+) -> dict[TaskKind, tuple[float, float]]:
+    """Mean (random AUC, skilled AUC) per task over the given master seeds,
+    each generated with `base`'s other settings."""
     sums: dict[TaskKind, list[float]] = {task: [0.0, 0.0] for task in PRIMARY_MATCHERS}
     for master_seed in seeds:
         result = run_benchmark(
-            GenConfig(master_seed=master_seed),
+            replace(base, master_seed=master_seed),
             combos=tuple((m, t) for t, m in PRIMARY_MATCHERS.items()),
         )
         for (matcher, task), report in result.reports.items():

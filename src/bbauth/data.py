@@ -77,6 +77,17 @@ class SplitKind(enum.Enum):
     Evaluation = "evaluation"
 
 
+#: Sessions per device and task of a validation or evaluation split, by role.
+SESSIONS_PER_ROLE: dict[SessionRole, int] = {
+    SessionRole.GenuineEnroll: 2,
+    SessionRole.GenuineVerify: 2,
+    SessionRole.SkilledImpostor: 2,
+}
+
+#: Sessions per subject and task of the training split.
+TRAIN_SESSIONS_PER_SUBJECT = 4
+
+
 #: Column names of each modality's stream array, in the document's row order.
 STREAM_COLUMNS: dict[ModalityKind, tuple[str, ...]] = {
     ModalityKind.Keystroke: ("t", "ascii"),
@@ -173,13 +184,6 @@ class DatasetSplit:
     sessions: tuple[Session, ...]
     warnings: tuple[str, ...] = ()
 
-    def device_session_counts(self) -> dict[tuple[str, TaskKind], int]:
-        counts: dict[tuple[str, TaskKind], int] = {}
-        for s in self.sessions:
-            key = (s.device_id, s.task)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
     def sessions_for(self, task: TaskKind) -> tuple[Session, ...]:
         return tuple(s for s in self.sessions if s.task is task)
 
@@ -265,19 +269,6 @@ def validate_session(session: Session) -> list[str]:
 
 
 # --- parsing ------------------------------------------------------------
-
-_EXPECTED_COUNTS = {
-    SplitKind.Validation: {
-        SessionRole.GenuineEnroll: 2,
-        SessionRole.GenuineVerify: 2,
-        SessionRole.SkilledImpostor: 2,
-    },
-    SplitKind.Evaluation: {
-        SessionRole.GenuineEnroll: 2,
-        SessionRole.GenuineVerify: 2,
-        SessionRole.SkilledImpostor: 2,
-    },
-}
 
 _SESSION_KEYS = {"session_id", "subject_id", "device_id", "task", "role", "streams"}
 
@@ -400,18 +391,21 @@ def _check_counts(split: DatasetSplit, warnings: list[str], strict: bool) -> Non
         groups: dict[tuple[str, TaskKind], int] = {}
         for s in split.sessions:
             groups[(s.subject_id or "", s.task)] = groups.get((s.subject_id or "", s.task), 0) + 1
+        expected = TRAIN_SESSIONS_PER_SUBJECT
         for (subject, task), n in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-            if n != 4:
-                report(f"subject {subject!r} task {task.value!r}: expected 4 train sessions, found {n}")
+            if n != expected:
+                report(
+                    f"subject {subject!r} task {task.value!r}: expected {expected} "
+                    f"train sessions, found {n}"
+                )
         return
 
-    expected = _EXPECTED_COUNTS[split.split_kind]
     groups2: dict[tuple[str, TaskKind], dict[SessionRole, int]] = {}
     for s in split.sessions:
         per_role = groups2.setdefault((s.device_id, s.task), {})
         per_role[s.role] = per_role.get(s.role, 0) + 1
     for (device, task), per_role in sorted(groups2.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-        for role, n in expected.items():
+        for role, n in SESSIONS_PER_ROLE.items():
             if per_role.get(role, 0) != n:
                 report(
                     f"device {device!r} task {task.value!r}: expected {n} {role.value!r} "

@@ -1,12 +1,12 @@
 """Signal conditioning shared by the matchers.
 
 Background sensors sample unevenly, so resampling always works over the
-time axis, not index positions. All functions here are pure.
+time axis, not index positions. Every function here is pure and returns
+plain float64 arrays: one resampled channel is 1-D, a stacked session
+is a (length, channels) matrix.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,23 +14,12 @@ from .data import BACKGROUND_SENSORS, COL_T, COL_X, COL_Y, COL_Z, Session, TaskK
 from .errors import EmptySeries, MissingModality
 
 
-@dataclass(frozen=True)
-class UniformSeries:
-    """A fixed-length multichannel series with no missing values."""
-
-    values: np.ndarray  # shape (length, channels)
-    channels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.channels):
-            raise ValueError("values must be (length, channels) matching the channel tags")
-
-
-def resample_linear(timestamps, values, target_len: int, channel: str = "signal") -> UniformSeries:
+def resample_linear(timestamps, values, target_len: int, channel: str = "signal") -> np.ndarray:
     """Resample one timestamped channel to `target_len` equally spaced points.
 
     Sampling positions span [t_first, t_last]; endpoints are preserved
-    exactly and a single-sample input replicates its value.
+    exactly and a single-sample input replicates its value. `channel`
+    names the input in the error for an empty one.
     """
     t = np.asarray(timestamps, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -38,46 +27,39 @@ def resample_linear(timestamps, values, target_len: int, channel: str = "signal"
         raise EmptySeries(f"channel {channel!r} has no samples")
     if target_len < 1:
         raise ValueError("target_len must be >= 1")
-    positions = np.linspace(t[0], t[-1], target_len)
-    out = np.interp(positions, t, v)
-    return UniformSeries(out.reshape(-1, 1), (channel,))
+    return np.interp(np.linspace(t[0], t[-1], target_len), t, v)
 
 
-def minmax_normalize(series: UniformSeries) -> UniformSeries:
-    """Per-channel MinMax to [0,1]; constant channels map to 0.5."""
-    v = series.values
-    lo = v.min(axis=0)
-    hi = v.max(axis=0)
-    span = hi - lo
-    out = np.empty_like(v, dtype=float)
-    flat = span == 0
-    out[:, flat] = 0.5
-    out[:, ~flat] = (v[:, ~flat] - lo[~flat]) / span[~flat]
-    return UniformSeries(out, series.channels)
+def minmax_normalize(array) -> np.ndarray:
+    """Map each column of a 2-D array to [0,1]; constant columns map to 0.5."""
+    m = np.asarray(array, dtype=float)
+    lo = m.min(axis=0)
+    span = m.max(axis=0) - lo
+    out = np.full_like(m, 0.5)
+    ok = span > 0
+    out[:, ok] = (m[:, ok] - lo[ok]) / span[ok]
+    return out
 
 
-def stack_modalities(session: Session, task: TaskKind, per_modality_len: int) -> UniformSeries:
-    """Fuse a session's sensor streams at data level into one matrix.
+def stack_modalities(session: Session, task: TaskKind, per_modality_len: int) -> np.ndarray:
+    """Fuse a session's sensor streams at data level into one (len, 15) matrix.
 
     Each x/y/z channel of the five background sensors is resampled to
-    `per_modality_len`, MinMax-normalized, and concatenated along the
-    channel axis in the fixed order accelerometer, gyroscope,
-    magnetometer, linear accelerometer, gravity.
+    `per_modality_len` and becomes a column, in the fixed order
+    accelerometer, gyroscope, magnetometer, linear accelerometer,
+    gravity; each column is then MinMax-normalized.
     """
     if session.task is not task:
         raise ValueError(f"session task {session.task.value!r} != {task.value!r}")
     columns: list[np.ndarray] = []
-    channels: list[str] = []
     for sensor in BACKGROUND_SENSORS:
         stream = session.stream(sensor)
         if len(stream) == 0:
-            raise MissingModality(sensor.value)
+            raise MissingModality(f"no {sensor.value} stream")
         for axis, c in (("x", COL_X), ("y", COL_Y), ("z", COL_Z)):
             channel = f"{sensor.value}.{axis}"
-            col = resample_linear(stream[:, COL_T], stream[:, c], per_modality_len, channel)
-            columns.append(minmax_normalize(col).values)
-            channels.append(channel)
-    return UniformSeries(np.hstack(columns), tuple(channels))
+            columns.append(resample_linear(stream[:, COL_T], stream[:, c], per_modality_len, channel))
+    return minmax_normalize(np.column_stack(columns))
 
 
 def compute_target_lengths(sessions, minimum: int = 8) -> dict[TaskKind, int]:

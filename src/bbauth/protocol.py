@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetSplit, Session, SessionRole, SplitKind, TaskKind
+from .data import SESSIONS_PER_ROLE, DatasetSplit, Session, SessionRole, SplitKind, TaskKind
 from .errors import (
     EmptyDistribution,
     IncompleteDevice,
@@ -95,11 +95,7 @@ def build_comparisons(
     devices = _device_sessions(split, task)
     for device_id in sorted(devices):
         roles = devices[device_id]
-        for role, expected in (
-            (SessionRole.GenuineEnroll, 2),
-            (SessionRole.GenuineVerify, 2),
-            (SessionRole.SkilledImpostor, 2),
-        ):
+        for role, expected in SESSIONS_PER_ROLE.items():
             if len(roles.get(role, [])) != expected:
                 raise IncompleteDevice(
                     f"device {device_id!r} task {task.value!r}: expected {expected} "
@@ -184,9 +180,6 @@ class GradeReport:
     counts: dict[str, int]
     warnings: tuple[str, ...]
     pair_counts: dict[str, tuple[int, int]]
-
-    def row(self) -> str:
-        return f"{self.auc_mixed:.2f} / {self.auc_random:.2f} / {self.auc_skilled:.2f}"
 
 
 def grade(scores: dict[str, float], key: KeyFile) -> GradeReport:

@@ -78,8 +78,7 @@ class _SwipeTemplateMatcher:
         return session_feature_vectors(session)
 
     def score(self, enroll, verify) -> float:
-        pooled = [vec for vectors in enroll for vec in vectors]
-        return template_score(build_template(pooled), verify)
+        return template_score(build_template(np.vstack(enroll)), verify)
 
 
 class _DwtMatcher:
@@ -145,7 +144,7 @@ class _SiameseMatcher:
         self.params = train(pairs, train_config).params
 
     def _features(self, session: Session) -> np.ndarray:
-        return stack_modalities(session, session.task, self.target_len).values.reshape(-1)
+        return stack_modalities(session, session.task, self.target_len).reshape(-1)
 
     def prepare(self, session: Session) -> np.ndarray:
         return forward(self.params, self._features(session), "infer")

@@ -57,10 +57,6 @@ class NetworkParams:
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return tuple(w.shape[1] for w in self.weights)
-
     def trainable(self) -> list[np.ndarray]:
         return [*self.weights, *self.biases, self.bn_scale, self.bn_shift]
 

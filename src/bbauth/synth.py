@@ -23,6 +23,8 @@ import numpy as np
 from .data import (
     BACKGROUND_SENSORS,
     COL_T,
+    SESSIONS_PER_ROLE,
+    TRAIN_SESSIONS_PER_SUBJECT,
     DatasetSplit,
     ModalityKind,
     Session,
@@ -123,9 +125,6 @@ class GenConfig:
     sigma_within: float = 1.0
     imitation_alpha: float = 0.5  # 0 = no imitation, 1 = perfect copy
     device_bias_beta: float = 0.2
-    train_sessions_per_user: int = 4
-    genuine_sessions: int = 4     # per evaluation device and task (2 enroll + 2 verify)
-    skilled_sessions: int = 2
     tasks: tuple[TaskKind, ...] = tuple(TaskKind)
     master_seed: int = 42
 
@@ -134,8 +133,6 @@ class GenConfig:
             raise ConfigInvalid("imitation_alpha must lie in [0,1]")
         if min(self.n_users, self.n_train_users, self.n_validation_users) < 2:
             raise ConfigInvalid("each split needs at least 2 users")
-        if min(self.train_sessions_per_user, self.genuine_sessions, self.skilled_sessions) < 1:
-            raise ConfigInvalid("session counts must be >= 1")
         if self.sigma_between <= 0 or self.sigma_within <= 0:
             raise ConfigInvalid("separability sigmas must be > 0")
         if self.device_bias_beta < 0:
@@ -373,7 +370,7 @@ def _train_split(config: GenConfig) -> DatasetSplit:
         user = sample_user_profile(config, SplitKind.Train, u)
         device = sample_device_profile(config, SplitKind.Train, u)
         for task_idx, task in enumerate(config.tasks):
-            for slot in range(config.train_sessions_per_user):
+            for slot in range(TRAIN_SESSIONS_PER_SUBJECT):
                 sessions.append(
                     generate_session(
                         user,
@@ -394,19 +391,14 @@ def _eval_like_split(config: GenConfig, split: SplitKind, n_users: int) -> Datas
     prefix = "v" if split is SplitKind.Validation else "e"
     users = [sample_user_profile(config, split, i) for i in range(n_users)]
     devices = [sample_device_profile(config, split, i) for i in range(n_users)]
-    half = config.genuine_sessions // 2
+    roles = [role for role, n in SESSIONS_PER_ROLE.items() for _ in range(n)]  # one per slot
     sessions = []
     counter = 0
     for i in range(n_users):
         impostor = blend_profiles(users[(i + 1) % n_users], users[i], config.imitation_alpha)
         for task_idx, task in enumerate(config.tasks):
-            for slot in range(config.genuine_sessions + config.skilled_sessions):
-                if slot < config.genuine_sessions:
-                    profile = users[i]
-                    role = SessionRole.GenuineEnroll if slot < half else SessionRole.GenuineVerify
-                else:
-                    profile = impostor
-                    role = SessionRole.SkilledImpostor
+            for slot, role in enumerate(roles):
+                profile = impostor if role is SessionRole.SkilledImpostor else users[i]
                 sessions.append(
                     generate_session(
                         profile,
@@ -449,9 +441,6 @@ def generate_dataset(config: GenConfig) -> GeneratedDataset:
             "sigma_within": config.sigma_within,
             "imitation_alpha": config.imitation_alpha,
             "device_bias_beta": config.device_bias_beta,
-            "train_sessions_per_user": config.train_sessions_per_user,
-            "genuine_sessions": config.genuine_sessions,
-            "skilled_sessions": config.skilled_sessions,
             "tasks": [t.value for t in config.tasks],
             "master_seed": config.master_seed,
         },

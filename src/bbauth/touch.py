@@ -1,8 +1,10 @@
 """Statistical swipe/tap features and template-distance scoring.
 
-A stroke's feature vector summarizes its geometry and kinematics; an
-enrollment template stores per-feature mean/std over all enrollment
-strokes, and verification strokes are scored by their z-distance to the
+A stroke's feature vector is a (22,) float64 array, in `FEATURE_NAMES`
+order, that summarizes its geometry and kinematics; a session's strokes
+form one (k, 22) matrix. An enrollment template stores per-feature
+mean/std over the rows of the pooled enrollment matrices, and a
+verification matrix is scored by the z-distance of its mean row to the
 template. Velocities are pairwise Euclidean displacements over time
 deltas (zero-delta pairs skipped); accelerations are pairwise velocity
 differences over the corresponding time deltas; percentiles use linear
@@ -12,7 +14,7 @@ interpolation between order statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,46 +22,29 @@ from .data import COL_ASCII, COL_T, COL_X, COL_Y, ModalityKind, Session, TaskKin
 from .errors import DegenerateStroke, InsufficientEvents, NoStrokes
 
 
-@dataclass(frozen=True)
-class SwipeFeatureVector:
-    start_x: float
-    start_y: float
-    end_x: float
-    end_y: float
-    max_dev_x: float
-    max_dev_y: float
-    dev_p20: float
-    dev_p50: float
-    dev_p80: float
-    vel_p20: float
-    vel_p50: float
-    vel_p80: float
-    acc_p20: float
-    acc_p50: float
-    acc_p80: float
-    median_vel_last3: float
-    mean_acc_first5: float
-    disp_sum: float
-    euclid_start_end: float
-    straightness_ratio: float
-    duration_ms: float
-    mean_velocity: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, f.name) for f in fields(self)], dtype=float)
+#: Names of the swipe feature vector's entries, in order.
+FEATURE_NAMES: tuple[str, ...] = (
+    "start_x", "start_y", "end_x", "end_y",
+    "max_dev_x", "max_dev_y",
+    "dev_p20", "dev_p50", "dev_p80",
+    "vel_p20", "vel_p50", "vel_p80",
+    "acc_p20", "acc_p50", "acc_p80",
+    "median_vel_last3", "mean_acc_first5",
+    "disp_sum", "euclid_start_end", "straightness_ratio",
+    "duration_ms", "mean_velocity",
+)
 
 
-FEATURE_NAMES: tuple[str, ...] = tuple(f.name for f in fields(SwipeFeatureVector))
-
-
-def _percentile(values: list[float], q: float) -> float:
+def _percentiles(values: list[float], q=(20, 50, 80)):
+    """Linear-interpolation percentiles of `values`; zeros when empty."""
     if not values:
-        return 0.0
-    return float(np.percentile(np.asarray(values), q, method="linear"))
+        return np.zeros(np.shape(q))
+    return np.percentile(values, q, method="linear")
 
 
-def swipe_features(stroke: np.ndarray, session_mean_xy: tuple[float, float]) -> SwipeFeatureVector:
-    """Feature vector of one stroke (touch rows from :func:`slice_strokes`).
+def swipe_features(stroke: np.ndarray, session_mean_xy: tuple[float, float]) -> np.ndarray:
+    """(22,) feature vector of one stroke (touch rows from :func:`slice_strokes`),
+    in `FEATURE_NAMES` order.
 
     `session_mean_xy` is the mean (x, y) over all stroke points of the
     session the stroke belongs to; deviation features are measured
@@ -101,30 +86,21 @@ def swipe_features(stroke: np.ndarray, session_mean_xy: tuple[float, float]) -> 
     duration = float(ts[-1] - ts[0])
     euclid = math.hypot(xs[-1] - xs[0], ys[-1] - ys[0])
 
-    return SwipeFeatureVector(
-        start_x=xs[0],
-        start_y=ys[0],
-        end_x=xs[-1],
-        end_y=ys[-1],
-        max_dev_x=max(abs(x - mean_x) for x in xs),
-        max_dev_y=max(abs(y - mean_y) for y in ys),
-        dev_p20=_percentile(deviations, 20),
-        dev_p50=_percentile(deviations, 50),
-        dev_p80=_percentile(deviations, 80),
-        vel_p20=_percentile(velocities, 20),
-        vel_p50=_percentile(velocities, 50),
-        vel_p80=_percentile(velocities, 80),
-        acc_p20=_percentile(accelerations, 20),
-        acc_p50=_percentile(accelerations, 50),
-        acc_p80=_percentile(accelerations, 80),
-        median_vel_last3=_percentile(last3, 50),
-        mean_acc_first5=float(np.mean(accelerations[:5])) if accelerations else 0.0,
-        disp_sum=disp_sum,
-        euclid_start_end=euclid,
-        straightness_ratio=euclid / disp_sum if disp_sum > 0 else 0.0,
-        duration_ms=duration,
-        mean_velocity=disp_sum / duration,
-    )
+    return np.array([
+        xs[0], ys[0], xs[-1], ys[-1],
+        max(abs(x - mean_x) for x in xs),
+        max(abs(y - mean_y) for y in ys),
+        *_percentiles(deviations),
+        *_percentiles(velocities),
+        *_percentiles(accelerations),
+        _percentiles(last3, 50),
+        float(np.mean(accelerations[:5])) if accelerations else 0.0,
+        disp_sum,
+        euclid,
+        euclid / disp_sum if disp_sum > 0 else 0.0,
+        duration,
+        disp_sum / duration,
+    ])
 
 
 def session_mean_xy(strokes) -> tuple[float, float]:
@@ -136,14 +112,14 @@ def session_mean_xy(strokes) -> tuple[float, float]:
     return float(np.mean(xs)), float(np.mean(ys))
 
 
-def session_feature_vectors(session: Session) -> list[SwipeFeatureVector]:
-    """Feature vectors for all non-degenerate strokes of a session."""
+def session_feature_vectors(session: Session) -> np.ndarray:
+    """(k, 22) feature matrix of a session's non-degenerate strokes; (0, 22) when none."""
     sliced = slice_strokes(session.stream(ModalityKind.Touch))
     usable = [s for s in sliced.strokes if s[-1, COL_T] > s[0, COL_T]]
     if not usable:
-        return []
+        return np.empty((0, len(FEATURE_NAMES)))
     mean_xy = session_mean_xy(usable)
-    return [swipe_features(s, mean_xy) for s in usable]
+    return np.stack([swipe_features(s, mean_xy) for s in usable])
 
 
 @dataclass(frozen=True)
@@ -153,17 +129,16 @@ class SessionTemplate:
     count: int
 
 
-def build_template(strokes: list[SwipeFeatureVector]) -> SessionTemplate:
-    """Per-feature sample mean and population std over the stroke vectors."""
-    if not strokes:
+def build_template(features: np.ndarray) -> SessionTemplate:
+    """Per-feature sample mean and population std over the rows of a feature matrix."""
+    if len(features) == 0:
         raise NoStrokes("cannot build a template from zero strokes")
-    matrix = np.stack([s.as_array() for s in strokes])
-    return SessionTemplate(matrix.mean(axis=0), matrix.std(axis=0), len(strokes))
+    return SessionTemplate(features.mean(axis=0), features.std(axis=0), len(features))
 
 
 def template_score(
     template: SessionTemplate,
-    verify_strokes: list[SwipeFeatureVector],
+    verify_features: np.ndarray,
     std_floor: float = 1e-6,
 ) -> float:
     """exp(-mean |z|) of the verify mean vector against the template.
@@ -171,9 +146,9 @@ def template_score(
     Monotone decreasing in the distance; 1.0 when the verify mean equals
     the template mean.
     """
-    if not verify_strokes:
+    if len(verify_features) == 0:
         raise NoStrokes("cannot score zero verify strokes")
-    verify_mean = np.stack([s.as_array() for s in verify_strokes]).mean(axis=0)
+    verify_mean = verify_features.mean(axis=0)
     z = np.abs(verify_mean - template.mean) / np.maximum(template.std, std_floor)
     return float(np.exp(-z.mean()))
 

@@ -22,7 +22,7 @@ from bbauth.data import (
     serialize_dataset,
     validate_session,
 )
-from bbauth.dwt import coif1, dwt_level1, idwt_level1
+from bbauth.dwt import dwt_level1, idwt_level1
 from bbauth.errors import (
     InvariantViolation,
     MalformedDocument,
@@ -139,15 +139,14 @@ def test_c03_disorder_oracle():
 def test_c04_dwt_identities():
     start = time.perf_counter()
     rng = np.random.default_rng(104)
-    filt = coif1()
     for trial in range(200):
         n = 2 * int(rng.integers(4, 257))  # even lengths 8..512
         x = rng.standard_normal(n)
-        pair = dwt_level1(x, filt)
+        pair = dwt_level1(x)
         energy = float(pair.c_a @ pair.c_a + pair.c_b @ pair.c_b)
         assert abs(energy - float(x @ x)) < 1e-9
-        assert np.abs(idwt_level1(pair, filt) - x).max() < 1e-9
-    constant = dwt_level1(np.full(64, 3.25), filt)
+        assert np.abs(idwt_level1(pair) - x).max() < 1e-9
+    constant = dwt_level1(np.full(64, 3.25))
     assert np.abs(constant.c_b).max() < 1e-10
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0

@@ -292,7 +292,8 @@ def test_config_file_unknown_key_exit_4(synth_dir, tmp_path, capsys):
     ]) == 4
 
 
-def test_score_names_the_session_whose_prepare_fails(synth_dir, tmp_path, capsys):
+@pytest.mark.parametrize("matcher", ["softdtw", "dwt-distance"])
+def test_score_names_the_session_whose_prepare_fails(matcher, synth_dir, tmp_path, capsys):
     comparisons = synth_dir / "comparisons_evaluation_tapping.json"
     target = comparison_list_from_json(comparisons.read_text()).comparisons[0]
     sid = target.verification_session_id
@@ -304,9 +305,12 @@ def test_score_names_the_session_whose_prepare_fails(synth_dir, tmp_path, capsys
     broken.write_text(json.dumps(document))
     capsys.readouterr()
     assert main(["score", "--data", str(broken), "--comparisons", str(comparisons),
-                 "--train", str(synth_dir / "train.json"), "--matcher", "softdtw",
+                 "--train", str(synth_dir / "train.json"), "--matcher", matcher,
                  "--out", str(tmp_path / "s.csv")]) == 4
-    assert f"session {sid!r}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"session {sid!r}" in err
+    if matcher == "dwt-distance":
+        assert f"session {sid!r}: no touch stream" in err
 
 
 def test_io_failure_exit_3(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -211,7 +212,7 @@ def test_generated_20_user_evaluation_count():
 
     gen = generate_dataset(GenConfig(n_users=20, n_train_users=2, n_validation_users=2))
     assert len(gen.evaluation.sessions) == 20 * 4 * 6
-    counts = gen.evaluation.device_session_counts()
+    counts = Counter((s.device_id, s.task) for s in gen.evaluation.sessions)
     assert set(counts.values()) == {6}
 
 

@@ -5,27 +5,27 @@ import pytest
 
 from bbauth.data import ModalityKind, Session, SessionRole, TaskKind, make_stream
 from bbauth.dwt import (
+    COIF1_DEC_HI,
+    COIF1_DEC_LO,
     DwtImageConfig,
     DwtPair,
     ModalityImage,
-    coif1,
     dwt_level1,
     dwt_score,
     idwt_level1,
     keystroke_third_channel,
-    quadrature_mirror,
     recursive_average,
     task_image,
 )
 from bbauth.errors import MissingModality, ShapeMismatch, SignalTooShort, TooFewColumns
 
 
-def _oracle_dwt(x, filt):
+def _oracle_dwt(x):
     """Independent route: textbook circular convolution then take odd samples."""
     x = np.asarray(x, dtype=float)
     n = x.size
     out = {}
-    for name, taps in (("a", filt.dec_lo), ("b", filt.dec_hi)):
+    for name, taps in (("a", COIF1_DEC_LO), ("b", COIF1_DEC_HI)):
         full = np.array(
             [sum(taps[m] * x[(i - m) % n] for m in range(len(taps))) for i in range(n)]
         )
@@ -34,13 +34,14 @@ def _oracle_dwt(x, filt):
 
 
 def test_filter_orthonormal_and_mirror():
-    f = coif1()
-    lo = np.asarray(f.dec_lo)
-    hi = np.asarray(f.dec_hi)
+    lo, hi = COIF1_DEC_LO, COIF1_DEC_HI
+    assert lo.shape == hi.shape == (6,)
     assert abs(lo @ lo - 1.0) < 1e-12
     assert abs(hi @ hi - 1.0) < 1e-12
     assert abs(lo.sum() - math.sqrt(2)) < 1e-12
-    assert np.allclose(quadrature_mirror(f.dec_lo), f.dec_hi, atol=1e-15)
+    mirror = [(-1.0) ** (k + 1) * lo[5 - k] for k in range(6)]
+    assert np.array_equal(mirror, hi)
+    assert not lo.flags.writeable and not hi.flags.writeable
 
 
 def test_constant_signal_detail_vanishes():
@@ -82,12 +83,11 @@ def test_linearity():
 
 
 def test_matches_convolution_oracle():
-    f = coif1()
     rng = np.random.default_rng(6)
     for n in (8, 12, 64):
         x = rng.standard_normal(n)
-        pair = dwt_level1(x, f)
-        oracle_a, oracle_b = _oracle_dwt(x, f)
+        pair = dwt_level1(x)
+        oracle_a, oracle_b = _oracle_dwt(x)
         assert np.abs(pair.c_a - oracle_a).max() < 1e-12
         assert np.abs(pair.c_b - oracle_b).max() < 1e-12
 
@@ -95,12 +95,11 @@ def test_matches_convolution_oracle():
 def test_unit_impulse_fixture():
     # impulse at position 0, length 8: coefficients are the filter taps at
     # odd circular offsets; frozen from the closed-form coif1 values
-    f = coif1()
     x = np.zeros(8)
     x[0] = 1.0
-    pair = dwt_level1(x, f)
-    expected_a = [f.dec_lo[1], f.dec_lo[3], f.dec_lo[5], 0.0]
-    expected_b = [f.dec_hi[1], f.dec_hi[3], f.dec_hi[5], 0.0]
+    pair = dwt_level1(x)
+    expected_a = [COIF1_DEC_LO[1], COIF1_DEC_LO[3], COIF1_DEC_LO[5], 0.0]
+    expected_b = [COIF1_DEC_HI[1], COIF1_DEC_HI[3], COIF1_DEC_HI[5], 0.0]
     assert np.allclose(pair.c_a, expected_a, atol=1e-15)
     assert np.allclose(pair.c_b, expected_b, atol=1e-15)
     assert np.allclose(pair.c_a, [-0.0727326195128539, 0.8525720202122554, -0.0727326195128539, 0.0])
@@ -175,7 +174,7 @@ def test_task_image_missing_modality():
     streams = dict(session.streams)
     del streams[ModalityKind.Gravity]
     broken = Session("s", "d", session.task, session.role, streams, subject_id="u")
-    with pytest.raises(MissingModality, match="gravity"):
+    with pytest.raises(MissingModality, match="no gravity stream"):
         task_image(broken, DwtImageConfig(length=16, width=4))
 
 

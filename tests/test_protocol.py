@@ -234,7 +234,6 @@ def test_grade_non_finite_score():
 
 def test_grade_report_row_format():
     report = GradeReport(66.37, 64.77, 67.91, {}, (), {"mixed": (0, 1), "random": (0, 1), "skilled": (0, 1)})
-    assert report.row() == "66.37 / 64.77 / 67.91"
     table = grade_report_table(report)
     assert "Mixed AUC [%]" in table and "Random AUC [%]" in table and "Skilled AUC [%]" in table
     assert "66.37" in table

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -64,8 +66,8 @@ def test_all_sessions_valid(tiny_generated):
 def test_split_structure(tiny_generated):
     evaluation = tiny_generated.evaluation
     assert len(evaluation.sessions) == 2 * 4 * 6
-    for (device, task), count in evaluation.device_session_counts().items():
-        assert count == 6
+    counts = Counter((s.device_id, s.task) for s in evaluation.sessions)
+    assert len(counts) == 2 * 4 and set(counts.values()) == {6}
     roles = [s.role for s in evaluation.sessions_for(TaskKind.Keystroke)]
     assert roles.count(SessionRole.GenuineEnroll) == 4  # 2 per device
     assert roles.count(SessionRole.GenuineVerify) == 4
