@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bbauth.errors import DegeneratePairs, ShapeMismatch
 from bbauth.siamese import (
+    _ADAM_BLOCK,
     PairSet,
     TrainConfig,
+    _adam_step,
     _pair_loss_and_embedding_grads,
     build_pair_set,
     forward,
@@ -168,6 +171,72 @@ def test_train_deterministic():
         assert np.array_equal(w1, w2)
     assert np.array_equal(r1.params.bn_mean, r2.params.bn_mean)
     assert r1.epoch_losses == r2.epoch_losses
+
+
+def _textbook_adam_train(pairs, config, hidden):
+    """`train` written with the allocating Adam update of Kingma & Ba
+    (2015, Alg. 1): the reference the blocked in-place update must match
+    bit for bit."""
+    params = init_network(pairs.a.shape[1], config.seed, hidden)
+    rng = np.random.default_rng(config.seed)
+    arrays = params.trainable()
+    moments1 = [np.zeros_like(a) for a in arrays]
+    moments2 = [np.zeros_like(a) for a in arrays]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    n = pairs.a.shape[0]
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            batch = PairSet(pairs.a[idx], pairs.b[idx], pairs.labels[idx])
+            _, grads, cache = loss_and_grads(params, batch, config.margin)
+            params.bn_mean = 0.9 * params.bn_mean + (1 - 0.9) * cache["mu"]
+            params.bn_var = 0.9 * params.bn_var + (1 - 0.9) * cache["var"]
+            step += 1
+            for v, g, m1, m2 in zip(arrays, grads, moments1, moments2):
+                m1 *= beta1
+                m1 += (1 - beta1) * g
+                m2 *= beta2
+                m2 += (1 - beta2) * g * g
+                m1_hat = m1 / (1 - beta1**step)
+                m2_hat = m2 / (1 - beta2**step)
+                v -= config.learning_rate * m1_hat / (np.sqrt(m2_hat) + eps)
+    return params
+
+
+def test_train_bitwise_equals_textbook_adam():
+    # the first weight (300 x 200) spans one full Adam block and a partial
+    # tail; every other array is shorter than one block
+    hidden = (200, 8, 4, 2)
+    assert _ADAM_BLOCK < 300 * 200 < 2 * _ADAM_BLOCK
+    rng = np.random.default_rng(21)
+    labels = np.array([1, 0] * 12)
+    pairs = PairSet(rng.standard_normal((24, 300)), rng.standard_normal((24, 300)), labels)
+    config = TrainConfig(epochs=3, batch_size=8, seed=22)
+    got = train(pairs, config, hidden=hidden).params
+    want = _textbook_adam_train(pairs, config, hidden)
+    for g, w in zip(got.trainable(), want.trainable()):
+        assert np.array_equal(g, w)
+    assert np.array_equal(got.bn_mean, want.bn_mean)
+    assert np.array_equal(got.bn_var, want.bn_var)
+
+
+def test_adam_step_allocates_no_parameter_sized_temporaries():
+    params = init_network(2385, seed=0)  # 1.04 M trainable parameters
+    arrays = params.trainable()
+    rng = np.random.default_rng(23)
+    grads = [rng.standard_normal(a.shape) for a in arrays]
+    moments1 = [np.zeros_like(a) for a in arrays]
+    moments2 = [np.zeros_like(a) for a in arrays]
+    scratch = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
+    tracemalloc.start()
+    try:
+        _adam_step(arrays, grads, moments1, moments2, 1, 0.001, *scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_train_rejects_degenerate_pairs():
