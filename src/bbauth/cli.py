@@ -205,7 +205,7 @@ def cmd_score(args) -> int:
     print(
         f"{config.matcher}: {int(run.timings['comparisons'])} comparisons, "
         f"setup {run.timings['setup_s']:.2f}s, prepare {run.timings['prepare_s']:.2f}s, "
-        f"score {run.timings['score_s']:.2f}s, total {total:.2f}s"
+        f"score (enroll + verify) {run.timings['score_s']:.2f}s, total {total:.2f}s"
     )
     return _EXIT_OK
 

@@ -180,13 +180,19 @@ def task_image(session: Session, config: DwtImageConfig | None = None) -> Modali
     return ModalityImage(np.concatenate(strips, axis=0))
 
 
-def dwt_score(enroll_images: list[ModalityImage], verify_image: ModalityImage) -> float:
-    """1 minus the mean absolute pixel difference between the verify
-    image and the per-pixel mean of the enrollment images."""
-    if not enroll_images:
+def mean_image(images: list[ModalityImage]) -> ModalityImage:
+    """Per-pixel mean of the enrollment images: the reference a verify image is scored against."""
+    if not images:
         raise ValueError("need at least one enrollment image")
-    shape = verify_image.pixels.shape
-    if any(img.pixels.shape != shape for img in enroll_images):
+    shape = images[0].pixels.shape
+    if any(img.pixels.shape != shape for img in images):
         raise ShapeMismatch("images differ in shape")
-    reference = np.mean([img.pixels for img in enroll_images], axis=0)
-    return float(1.0 - np.abs(verify_image.pixels - reference).mean())
+    return ModalityImage(np.mean([img.pixels for img in images], axis=0))
+
+
+def dwt_score(reference: ModalityImage, verify_image: ModalityImage) -> float:
+    """1 minus the mean absolute pixel difference between the verify
+    image and the reference (see :func:`mean_image`)."""
+    if reference.pixels.shape != verify_image.pixels.shape:
+        raise ShapeMismatch("images differ in shape")
+    return float(1.0 - np.abs(verify_image.pixels - reference.pixels).mean())

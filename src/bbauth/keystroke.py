@@ -5,6 +5,11 @@ often each n-gram occurs and its mean typing duration. Two sessions are
 compared by (a) the degree of disorder between their duration-ordered
 n-gram lists and (b) the fraction of sufficiently frequent shared
 n-grams, averaged into one similarity score.
+
+Each session's tables are extracted and ordered once
+(:func:`keystroke_profile`), each enrollment pair is pooled once
+(:func:`enroll_profiles`), and :func:`keystroke_score` compares a pooled
+enrollment with one verify profile.
 """
 
 from __future__ import annotations
@@ -121,13 +126,48 @@ def availability(enroll: NgramTable, verify: NgramTable, min_occurrences: int = 
     return len(common) / len(union)
 
 
-def _restrict(table: NgramTable, grams: set[Ngram]) -> NgramTable:
-    return NgramTable(table.n, {g: s for g, s in table.entries.items() if g in grams})
+@dataclass(frozen=True)
+class KeystrokeProfile:
+    """One session's n = 2 and n = 3 tables, each with its :func:`order_ngrams` ordering."""
+
+    session_id: str
+    events: int  # keystroke events in the session
+    tables: tuple[NgramTable, ...]
+    orders: tuple[list[Ngram], ...]
+
+
+@dataclass(frozen=True)
+class KeystrokeEnrollment:
+    """Pooled enrollment tables and their orderings; iterating yields the
+    pooled sessions' profiles, in enrollment order."""
+
+    profiles: tuple[KeystrokeProfile, ...]
+    tables: tuple[NgramTable, ...]
+    orders: tuple[list[Ngram], ...]
+
+    def __iter__(self):
+        return iter(self.profiles)
+
+
+def keystroke_profile(session: Session) -> KeystrokeProfile:
+    """Extract a session's n-gram tables and order each one, once."""
+    stream = session.stream(ModalityKind.Keystroke)
+    tables = tuple(extract_ngrams(stream, n) for n in (2, 3))
+    return KeystrokeProfile(session.session_id, len(stream), tables,
+                            tuple(order_ngrams(t) for t in tables))
+
+
+def enroll_profiles(profiles: list[KeystrokeProfile]) -> KeystrokeEnrollment:
+    """Pool the enrollment sessions' tables (see :func:`merge_tables`) and order them."""
+    if not profiles:
+        raise ValueError("need at least one enrollment session")
+    tables = tuple(merge_tables(list(same_n)) for same_n in zip(*(p.tables for p in profiles)))
+    return KeystrokeEnrollment(tuple(profiles), tables, tuple(order_ngrams(t) for t in tables))
 
 
 def keystroke_score(
-    enroll_sessions: list[Session],
-    verify_session: Session,
+    enrollment: KeystrokeEnrollment,
+    verify: KeystrokeProfile,
     top_k: int | None = None,
 ) -> float:
     """Similarity in [0,1] between pooled enrollment typing and one verify session.
@@ -138,18 +178,19 @@ def keystroke_score(
     the mean over n. `top_k` optionally restricts the disorder
     computation to the k most frequent shared n-grams (by combined
     occurrence count); the default uses all shared n-grams.
+
+    The orderings of the shared n-grams are the precomputed orderings,
+    filtered: the :func:`order_ngrams` key is a strict total order, so
+    sorting a subset gives the order in which the subset appears in the
+    sorted whole.
     """
-    if not enroll_sessions:
-        raise ValueError("need at least one enrollment session")
-    enroll_streams = [s.stream(ModalityKind.Keystroke) for s in enroll_sessions]
-    verify_stream = verify_session.stream(ModalityKind.Keystroke)
-    if all(len(stream) < 2 for stream in enroll_streams) or len(verify_stream) < 2:
+    if all(p.events < 2 for p in enrollment.profiles) or verify.events < 2:
         raise NoKeystrokeData("sessions carry no usable keystroke events")
 
     per_n: list[float] = []
-    for n in (2, 3):
-        enroll_table = merge_tables([extract_ngrams(stream, n) for stream in enroll_streams])
-        verify_table = extract_ngrams(verify_stream, n)
+    for enroll_table, enroll_order, verify_table, verify_order in zip(
+        enrollment.tables, enrollment.orders, verify.tables, verify.orders
+    ):
         if not enroll_table.entries and not verify_table.entries:
             per_n.append(0.0)
             continue
@@ -167,8 +208,8 @@ def keystroke_score(
             )
         if shared:
             sim = 1.0 - degree_of_disorder(
-                order_ngrams(_restrict(enroll_table, shared)),
-                order_ngrams(_restrict(verify_table, shared)),
+                [g for g in enroll_order if g in shared],
+                [g for g in verify_order if g in shared],
             )
         else:
             sim = 0.0

@@ -1,31 +1,29 @@
 """Matcher engine: turns a comparison list into a score map.
 
-Each matcher prepares one artifact per session (template features,
-wavelet image, alignment sequence, or embedding) exactly once, then
-scores comparisons against the cached artifacts, one after another.
-Output order follows the comparison list, and every score is the
-matcher's value clamped to [0, 1], with higher meaning more genuine, so
-a comparison's score never depends on the rest of the list.
+A matcher prepares one artifact per named session, enrolls each distinct
+enrollment pair once, at the first comparison that uses it, into a model
+built from the pair's artifacts, and verifies every comparison's artifact
+against its pair's model. Output order follows the comparison list, and
+every score is the matcher's value clamped to [0, 1], with higher meaning
+more genuine, so a comparison's score never depends on the rest of the list.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .data import DatasetSplit, Session, TaskKind
-from .dwt import DwtImageConfig, dwt_score, task_image
+from .dwt import DwtImageConfig, dwt_score, mean_image, task_image
 from .errors import BBAuthError, EmptySequence
-from .keystroke import keystroke_score
+from .keystroke import enroll_profiles, keystroke_profile, keystroke_score
 from .preprocess import compute_target_lengths, stack_modalities
 from .protocol import ComparisonList
 from .siamese import TrainConfig, build_pair_set, forward, siamese_score, train
-from .softdtw import SoftDtwCalibration, calibrate, fit_feature_scale, softdtw_score
+from .softdtw import calibrate, fit_feature_scale, softdtw_score
 from .touch import build_dtw_sequence, build_template, session_feature_vectors, template_score
-
-MATCHERS = ("keystroke-ngram", "swipe-template", "dwt-distance", "softdtw", "siamese")
 
 
 @dataclass
@@ -57,17 +55,22 @@ class RunConfig:
 def validate_matcher_task(matcher: str, task: TaskKind) -> None:
     if matcher == "keystroke-ngram" and task is not TaskKind.Keystroke:
         raise ValueError("keystroke-ngram only applies to the keystroke task")
+    if matcher == "swipe-template" and task is TaskKind.Keystroke:
+        raise ValueError("swipe-template needs touch strokes, which the keystroke task lacks")
 
 
 class _KeystrokeMatcher:
     def __init__(self, config: RunConfig, train_split):
         self.top_k = config.top_k
 
-    def prepare(self, session: Session) -> Session:
-        return session
+    def prepare(self, session: Session):
+        return keystroke_profile(session)
 
-    def score(self, enroll, verify) -> float:
-        return keystroke_score(list(enroll), verify, top_k=self.top_k)
+    def enroll(self, artifacts):
+        return enroll_profiles(artifacts)
+
+    def verify(self, model, artifact) -> float:
+        return keystroke_score(model, artifact, top_k=self.top_k)
 
 
 class _SwipeTemplateMatcher:
@@ -77,8 +80,11 @@ class _SwipeTemplateMatcher:
     def prepare(self, session: Session):
         return session_feature_vectors(session)
 
-    def score(self, enroll, verify) -> float:
-        return template_score(build_template(np.vstack(enroll)), verify)
+    def enroll(self, artifacts):
+        return build_template(np.vstack(artifacts))
+
+    def verify(self, model, artifact) -> float:
+        return template_score(model, artifact)
 
 
 class _DwtMatcher:
@@ -88,23 +94,23 @@ class _DwtMatcher:
     def prepare(self, session: Session):
         return task_image(session, self.image_config)
 
-    def score(self, enroll, verify) -> float:
-        return dwt_score(list(enroll), verify)
+    def enroll(self, artifacts):
+        return mean_image(artifacts)
+
+    def verify(self, model, artifact) -> float:
+        return dwt_score(model, artifact)
 
 
 class _SoftDtwMatcher:
     def __init__(self, config: RunConfig, train_split: DatasetSplit | None):
         self.gamma = config.gamma
         self.task = config.task
-        self.scale = None
-        if config.tau is not None:
-            self.tau = config.tau
-        else:
+        self.tau, self.scale = config.tau, None
+        if config.tau is None:
             if train_split is None:
                 raise ValueError("softdtw needs a training split to calibrate tau")
-            calibration: SoftDtwCalibration = calibrate(train_split, config.task, config.gamma)
-            self.tau = calibration.tau
-            self.scale = calibration.scale
+            calibration = calibrate(train_split, config.task, config.gamma)
+            self.tau, self.scale = calibration.tau, calibration.scale
 
     def prepare(self, session: Session) -> np.ndarray:
         sequence = build_dtw_sequence(session, self.task)
@@ -112,11 +118,14 @@ class _SoftDtwMatcher:
             raise EmptySequence("the alignment sequence is empty (no strokes)")
         return sequence if self.scale is None else self.scale.apply(sequence)
 
-    def score(self, enroll, verify) -> float:
+    def enroll(self, artifacts) -> list[np.ndarray]:
+        return artifacts
+
+    def verify(self, model, artifact) -> float:
         if self.scale is None:  # tau from the config: scale on the compared sequences' rows
-            pooled = fit_feature_scale([*enroll, verify])
-            enroll, verify = [pooled.apply(s) for s in enroll], pooled.apply(verify)
-        return softdtw_score(enroll, verify, self.gamma, self.tau)
+            pooled = fit_feature_scale([*model, artifact])
+            model, artifact = [pooled.apply(s) for s in model], pooled.apply(artifact)
+        return softdtw_score(model, artifact, self.gamma, self.tau)
 
 
 class _SiameseMatcher:
@@ -124,23 +133,14 @@ class _SiameseMatcher:
         if train_split is None:
             raise ValueError("siamese needs a training split")
         self.task = config.task
-        if config.target_len is not None:
-            self.target_len = config.target_len
-        else:
-            self.target_len = compute_target_lengths(train_split.sessions)[config.task]
+        self.target_len = (config.target_len if config.target_len is not None
+                           else compute_target_lengths(train_split.sessions)[config.task])
         by_subject: dict[str, list[np.ndarray]] = {}
         for s in train_split.sessions_for(config.task):
-            if s.subject_id is None:
-                continue
-            by_subject.setdefault(s.subject_id, []).append(self._features(s))
+            if s.subject_id is not None:
+                by_subject.setdefault(s.subject_id, []).append(self._features(s))
         pairs = build_pair_set(by_subject, config.seed)
-        train_config = TrainConfig(
-            learning_rate=config.learning_rate,
-            epochs=config.epochs,
-            batch_size=config.batch_size,
-            margin=config.margin,
-            seed=config.seed,
-        )
+        train_config = TrainConfig(**{f.name: getattr(config, f.name) for f in fields(TrainConfig)})
         self.params = train(pairs, train_config).params
 
     def _features(self, session: Session) -> np.ndarray:
@@ -149,8 +149,11 @@ class _SiameseMatcher:
     def prepare(self, session: Session) -> np.ndarray:
         return forward(self.params, self._features(session), "infer")
 
-    def score(self, enroll, verify) -> float:
-        return siamese_score(enroll, verify)
+    def enroll(self, artifacts) -> list[np.ndarray]:
+        return artifacts
+
+    def verify(self, model, artifact) -> float:
+        return siamese_score(model, artifact)
 
 
 _MATCHER_CLASSES = {
@@ -160,22 +163,19 @@ _MATCHER_CLASSES = {
     "softdtw": _SoftDtwMatcher,
     "siamese": _SiameseMatcher,
 }
+MATCHERS = tuple(_MATCHER_CLASSES)
 
 
 @dataclass
 class ScoreRun:
     scores: dict[str, float]  # in comparison-list order
+    # setup_s, prepare_s, score_s (enrollment models and verification) and comparisons
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def score_comparisons(
-    split: DatasetSplit,
-    comparison_list: ComparisonList,
-    config: RunConfig,
-    train_split: DatasetSplit | None = None,
-) -> ScoreRun:
+def score_comparisons(split: DatasetSplit, comparison_list: ComparisonList, config: RunConfig,
+                      train_split: DatasetSplit | None = None) -> ScoreRun:
     """Score every comparison in list order; deterministic per config."""
-    validate_matcher_task(config.matcher, comparison_list.task)
     if config.task is not comparison_list.task:
         raise ValueError("run config task differs from the comparison list task")
     t0 = time.perf_counter()
@@ -183,13 +183,9 @@ def score_comparisons(
     t_setup = time.perf_counter() - t0
 
     sessions = split.by_id()
-    needed: list[str] = []
-    seen: set[str] = set()
-    for c in comparison_list.comparisons:
-        for sid in (*c.enrollment_session_ids, c.verification_session_id):
-            if sid not in seen:
-                seen.add(sid)
-                needed.append(sid)
+    needed = list(dict.fromkeys(  # every named session once, in order of first mention
+        sid for c in comparison_list.comparisons
+        for sid in (*c.enrollment_session_ids, c.verification_session_id)))
     missing = [sid for sid in needed if sid not in sessions]
     if missing:
         raise BBAuthError("comparison list names unknown sessions: " + ", ".join(sorted(missing)))
@@ -204,17 +200,18 @@ def score_comparisons(
     t_prepare = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    models = {}  # enrollment session ids -> model
     scores: dict[str, float] = {}
     for c in comparison_list.comparisons:
-        enroll = [artifacts[sid] for sid in c.enrollment_session_ids]
         try:
-            value = matcher.score(enroll, artifacts[c.verification_session_id])
+            model = models.get(c.enrollment_session_ids)
+            if model is None:
+                model = matcher.enroll([artifacts[sid] for sid in c.enrollment_session_ids])
+                models[c.enrollment_session_ids] = model
+            value = matcher.verify(model, artifacts[c.verification_session_id])
         except BBAuthError as exc:
             raise type(exc)(f"comparison {c.comparison_id!r}: {exc}") from None
         scores[c.comparison_id] = min(max(float(value), 0.0), 1.0)
     t_score = time.perf_counter() - t0
-    return ScoreRun(
-        scores,
-        {"setup_s": t_setup, "prepare_s": t_prepare, "score_s": t_score,
-         "comparisons": float(len(comparison_list.comparisons))},
-    )
+    return ScoreRun(scores, {"setup_s": t_setup, "prepare_s": t_prepare, "score_s": t_score,
+                             "comparisons": float(len(comparison_list.comparisons))})

@@ -3,6 +3,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
+from bbauth import cli
 from bbauth.benchmark import FAMILY_TASKS
 from bbauth.cli import _SYNTH_FIELDS, _build_parser, main
 from bbauth.data import parse_dataset
@@ -117,13 +118,16 @@ def test_score_never_mutates_inputs(synth_dir, tmp_path):
     assert (data.read_bytes(), comparisons.read_bytes()) == before
 
 
-def test_score_matcher_task_mismatch(synth_dir, tmp_path):
-    code = main([
-        "score", "--data", str(synth_dir / "evaluation.json"),
-        "--comparisons", str(synth_dir / "comparisons_evaluation_tapping.json"),
-        "--matcher", "keystroke-ngram", "--out", str(tmp_path / "x.csv"),
-    ])
-    assert code == 4
+def test_score_matcher_task_mismatch(synth_dir, tmp_path, monkeypatch):
+    # rejected when the run config is built, before any split is parsed
+    monkeypatch.setattr(cli, "_load_split", lambda path: pytest.fail(f"parsed {path}"))
+    for matcher, task in (("keystroke-ngram", "tapping"), ("swipe-template", "keystroke")):
+        code = main([
+            "score", "--data", str(synth_dir / "evaluation.json"),
+            "--comparisons", str(synth_dir / f"comparisons_evaluation_{task}.json"),
+            "--matcher", matcher, "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 4
 
 
 @pytest.mark.parametrize("matcher, task", FAMILY_TASKS, ids=[m for m, _ in FAMILY_TASKS])

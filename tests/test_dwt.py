@@ -14,6 +14,7 @@ from bbauth.dwt import (
     dwt_score,
     idwt_level1,
     keystroke_third_channel,
+    mean_image,
     recursive_average,
     task_image,
 )
@@ -185,26 +186,29 @@ def test_image_config_validation():
 
 def test_dwt_score_identical():
     image = task_image(_constant_session(), DwtImageConfig(length=16, width=4))
-    assert dwt_score([image], image) == 1.0
+    assert dwt_score(mean_image([image]), image) == 1.0
 
 
 def test_dwt_score_extremes_and_half():
     zeros = ModalityImage(np.zeros((4, 4, 3)))
     ones = ModalityImage(np.ones((4, 4, 3)))
-    assert dwt_score([ones], zeros) == 0.0
+    assert dwt_score(mean_image([ones]), zeros) == 0.0
     half = np.zeros((4, 4, 3))
     half[:2] = 1.0  # half the pixels differ by 1
-    assert dwt_score([ModalityImage(half)], zeros) == 0.5
+    assert dwt_score(mean_image([ModalityImage(half)]), zeros) == 0.5
+    assert dwt_score(mean_image([ones, zeros]), zeros) == 0.5  # the reference is the pixel mean
 
 
 def test_dwt_score_symmetric_single_enrollment():
     rng = np.random.default_rng(9)
     a = ModalityImage(rng.random((4, 4, 3)))
     b = ModalityImage(rng.random((4, 4, 3)))
-    assert dwt_score([a], b) == dwt_score([b], a)
+    assert dwt_score(mean_image([a]), b) == dwt_score(mean_image([b]), a)
 
 
 def test_dwt_score_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        dwt_score([ModalityImage(np.zeros((4, 4, 3)))], ModalityImage(np.zeros((2, 4, 3))))
+        dwt_score(mean_image([ModalityImage(np.zeros((4, 4, 3)))]), ModalityImage(np.zeros((2, 4, 3))))
+    with pytest.raises(ShapeMismatch):
+        mean_image([ModalityImage(np.zeros((4, 4, 3))), ModalityImage(np.zeros((2, 4, 3)))])
 

@@ -11,7 +11,9 @@ from bbauth.keystroke import (
     NgramTable,
     availability,
     degree_of_disorder,
+    enroll_profiles,
     extract_ngrams,
+    keystroke_profile,
     keystroke_score,
     merge_tables,
     order_ngrams,
@@ -159,6 +161,23 @@ def test_availability_symmetric():
     assert availability(a, b) == availability(b, a)
 
 
+_ngram_entries = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.builds(NgramStats, st.integers(1, 3), st.sampled_from([10.0, 20.0, 30.0])),  # ties
+    max_size=16,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ngram_entries, st.data())
+def test_filtered_ordering_equals_ordering_of_restriction(entries, data):
+    # keystroke_score filters precomputed orderings instead of sorting each shared set
+    table = NgramTable(2, entries)
+    shared = data.draw(st.sets(st.sampled_from(sorted(entries)))) if entries else set()
+    restricted = NgramTable(2, {g: s for g, s in entries.items() if g in shared})
+    assert [g for g in order_ngrams(table) if g in shared] == order_ngrams(restricted)
+
+
 # --- session-level scoring --------------------------------------------------
 
 def _typed_session(text, sid="s", latency=None):
@@ -173,13 +192,18 @@ def _typed_session(text, sid="s", latency=None):
                    {ModalityKind.Keystroke: _events(list(zip(times, codes)))}, subject_id="u")
 
 
+def _score(enroll_sessions, verify_session, top_k=None):
+    enrollment = enroll_profiles([keystroke_profile(s) for s in enroll_sessions])
+    return keystroke_score(enrollment, keystroke_profile(verify_session), top_k=top_k)
+
+
 RICH_TEXT = "the the the the"  # every n-gram occurs at least 3 times
 
 
 def test_score_identical_sessions_high():
     enroll = _typed_session(RICH_TEXT, "e1")
     verify = _typed_session(RICH_TEXT, "v1")
-    score = keystroke_score([enroll], verify)
+    score = _score([enroll], verify)
     assert score >= 0.9
     assert score == 1.0  # identical order and full availability
 
@@ -188,14 +212,14 @@ def test_score_disjoint_ngrams_zero():
     enroll = _typed_session("aaaa aaaa", "e1")
     verify = _typed_session("zzzz zzzz", "v1")
     # no shared n-grams: disorder contributes 0 and availability is 0
-    assert keystroke_score([enroll], verify) == 0.0
+    assert _score([enroll], verify) == 0.0
 
 
 def test_score_pooling_idempotent_on_identical_enrolls():
     enroll = _typed_session(RICH_TEXT, "e1")
     verify = _typed_session(RICH_TEXT, "v1")
-    single = keystroke_score([enroll], verify)
-    double = keystroke_score([enroll, _typed_session(RICH_TEXT, "e2")], verify)
+    single = _score([enroll], verify)
+    double = _score([enroll, _typed_session(RICH_TEXT, "e2")], verify)
     assert single == double
 
 
@@ -208,8 +232,8 @@ def test_score_timestamp_shift_invariant():
 
     enroll = _typed_session("the quick brown fox the quick", "e1")
     verify = _typed_session("the brown quick fox the fox", "v1")
-    base = keystroke_score([enroll], verify)
-    assert keystroke_score([shifted(enroll, 5_000)], shifted(verify, 9_999)) == base
+    base = _score([enroll], verify)
+    assert _score([shifted(enroll, 5_000)], shifted(verify, 9_999)) == base
 
 
 def test_score_genuine_above_impostor():
@@ -222,18 +246,67 @@ def test_score_genuine_above_impostor():
     enroll = _typed_session("the quick brown fox jumps the fox", "e", fast_th)
     genuine = _typed_session("the brown fox quick jumps the to", "g", fast_th)
     impostor = _typed_session("the brown fox quick jumps the to", "i", slow_th)
-    assert keystroke_score([enroll], genuine) > keystroke_score([enroll], impostor)
+    assert _score([enroll], genuine) > _score([enroll], impostor)
 
 
 def test_score_top_k_restricts_disorder_set():
     enroll = _typed_session("the quick brown fox jumps over the dog", "e")
     verify = _typed_session("the lazy dog jumps over the brown fox", "v")
-    full = keystroke_score([enroll], verify)
-    limited = keystroke_score([enroll], verify, top_k=3)
+    full = _score([enroll], verify)
+    limited = _score([enroll], verify, top_k=3)
     assert 0.0 <= limited <= 1.0 and 0.0 <= full <= 1.0
 
 
 def test_score_requires_keystroke_data():
     empty = Session("s", "d", TaskKind.Keystroke, SessionRole.Unlabeled, {}, subject_id="u")
     with pytest.raises(NoKeystrokeData):
-        keystroke_score([empty], empty)
+        _score([empty], empty)
+
+
+def _reference_score(enroll_sessions, verify_session, top_k=None):
+    """The score composed within one comparison: extract, pool, restrict, sort."""
+    enroll_streams = [s.stream(ModalityKind.Keystroke) for s in enroll_sessions]
+    verify_stream = verify_session.stream(ModalityKind.Keystroke)
+    per_n = []
+    for n in (2, 3):
+        enroll_table = merge_tables([extract_ngrams(stream, n) for stream in enroll_streams])
+        verify_table = extract_ngrams(verify_stream, n)
+        if not enroll_table.entries and not verify_table.entries:
+            per_n.append(0.0)
+            continue
+        avail = availability(enroll_table, verify_table)
+        shared = set(enroll_table.entries) & set(verify_table.entries)
+        if top_k is not None and len(shared) > top_k:
+            def combined(g):
+                return -(enroll_table.entries[g].occurrences + verify_table.entries[g].occurrences), g
+            shared = set(sorted(shared, key=combined)[:top_k])
+        sim = 0.0
+        if shared:
+            sim = 1.0 - degree_of_disorder(
+                order_ngrams(NgramTable(n, {g: s for g, s in enroll_table.entries.items() if g in shared})),
+                order_ngrams(NgramTable(n, {g: s for g, s in verify_table.entries.items() if g in shared})),
+            )
+        per_n.append((sim + avail) / 2)
+    return sum(per_n) / len(per_n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text("abcd", min_size=2, max_size=30), min_size=3, max_size=3),
+       st.sampled_from([None, 1, 3]))
+def test_score_bitwise_equal_to_reference(texts, top_k):
+    # few letters and the code-driven latencies give tied durations and counts
+    enroll = [_typed_session(texts[0], "e1"), _typed_session(texts[1], "e2")]
+    verify = _typed_session(texts[2], "v")
+    assert _score(enroll, verify, top_k).hex() == _reference_score(enroll, verify, top_k).hex()
+
+
+@pytest.mark.parametrize("top_k", [None, 3])
+def test_synth_scores_bitwise_equal_to_reference(tiny_generated, top_k):
+    from bbauth.data import SplitKind
+
+    sessions = tiny_generated.evaluation.by_id()
+    clist, _ = tiny_generated.keys[(SplitKind.Evaluation, TaskKind.Keystroke)]
+    for c in clist.comparisons:
+        enroll = [sessions[sid] for sid in c.enrollment_session_ids]
+        verify = sessions[c.verification_session_id]
+        assert _score(enroll, verify, top_k).hex() == _reference_score(enroll, verify, top_k).hex()

@@ -1,9 +1,12 @@
+import re
+from collections import Counter
+
 import pytest
 
 from bbauth.data import SplitKind, TaskKind
 from bbauth.errors import BBAuthError
 from bbauth.protocol import Comparison, ComparisonList, grade
-from bbauth.runner import RunConfig, score_comparisons, validate_matcher_task
+from bbauth.runner import MATCHERS, RunConfig, score_comparisons, validate_matcher_task
 
 
 def test_run_config_rejects_keystroke_matcher_elsewhere():
@@ -13,6 +16,24 @@ def test_run_config_rejects_keystroke_matcher_elsewhere():
         validate_matcher_task("keystroke-ngram", TaskKind.GallerySwiping)
     with pytest.raises(ValueError):
         RunConfig("no-such-matcher", TaskKind.Tapping)
+
+
+def test_every_accepted_matcher_task_pair_scores(tiny_generated):
+    rejected = []
+    for matcher in MATCHERS:
+        for task in TaskKind:
+            try:
+                config = RunConfig(matcher, task, epochs=1)
+            except ValueError:
+                rejected.append((matcher, task))
+                continue
+            clist, _ = tiny_generated.keys[(SplitKind.Evaluation, task)]
+            run = score_comparisons(tiny_generated.evaluation, clist, config, tiny_generated.train)
+            assert len(run.scores) == len(clist.comparisons), (matcher, task)
+    assert set(rejected) == {
+        *(("keystroke-ngram", t) for t in TaskKind if t is not TaskKind.Keystroke),
+        ("swipe-template", TaskKind.Keystroke),
+    }
 
 
 def test_unknown_session_ids_reported(tiny_generated):
@@ -96,3 +117,65 @@ def test_softdtw_builds_each_sequence_once(tiny_generated, monkeypatch):
     score_comparisons(tiny_generated.evaluation, clist,
                       RunConfig("softdtw", TaskKind.Tapping, tau=0.5))
     assert Counter(calls) == Counter(named)
+
+
+def test_keystroke_extracts_ngrams_twice_per_session(tiny_generated, monkeypatch):
+    from bbauth import keystroke
+    from bbauth.data import ModalityKind
+
+    original = keystroke.extract_ngrams
+    calls = []
+
+    def counting(stream, n):
+        calls.append((id(stream), n))
+        return original(stream, n)
+
+    monkeypatch.setattr(keystroke, "extract_ngrams", counting)
+    clist, _ = tiny_generated.keys[(SplitKind.Evaluation, TaskKind.Keystroke)]
+    score_comparisons(tiny_generated.evaluation, clist, RunConfig("keystroke-ngram", TaskKind.Keystroke))
+    sessions = tiny_generated.evaluation.by_id()
+    named = {sid for c in clist.comparisons
+             for sid in (*c.enrollment_session_ids, c.verification_session_id)}
+    streams = [id(sessions[sid].stream(ModalityKind.Keystroke)) for sid in named]
+    assert len(set(streams)) == len(named)
+    assert Counter(calls) == Counter((stream, n) for stream in streams for n in (2, 3))
+
+
+def test_enrollment_model_built_once_per_pair(default_generated, monkeypatch):
+    from bbauth import runner, touch
+
+    calls = []
+
+    def counting(features):
+        calls.append(len(features))
+        return touch.build_template(features)
+
+    monkeypatch.setattr(runner, "build_template", counting)
+    clist, _ = default_generated.keys[(SplitKind.Evaluation, TaskKind.GallerySwiping)]
+    score_comparisons(default_generated.evaluation, clist,
+                      RunConfig("swipe-template", TaskKind.GallerySwiping))
+    assert len({c.enrollment_session_ids for c in clist.comparisons}) == 8
+    assert len(calls) == 8
+
+
+def test_unusable_enrollment_pair_names_its_first_comparison(tiny_generated):
+    import dataclasses
+
+    from bbauth.data import ModalityKind
+    from bbauth.errors import NoKeystrokeData
+
+    split = tiny_generated.evaluation
+    clist, _ = tiny_generated.keys[(SplitKind.Evaluation, TaskKind.Keystroke)]
+    pair = clist.comparisons[-1].enrollment_session_ids
+    first = next(c for c in clist.comparisons if c.enrollment_session_ids == pair)
+    assert first is not clist.comparisons[0]
+    sessions = []
+    for s in split.sessions:
+        if s.session_id in pair:  # one keystroke left in each enrollment stream
+            streams = dict(s.streams)
+            streams[ModalityKind.Keystroke] = s.stream(ModalityKind.Keystroke)[:1]
+            s = dataclasses.replace(s, streams=streams)
+        sessions.append(s)
+    broken = dataclasses.replace(split, sessions=tuple(sessions))
+    with pytest.raises(NoKeystrokeData, match=re.escape(f"comparison {first.comparison_id!r}")):
+        score_comparisons(broken, clist, RunConfig("keystroke-ngram", TaskKind.Keystroke))
