@@ -39,7 +39,7 @@ from .protocol import (
     score_file_from_csv,
     score_file_to_csv,
 )
-from .runner import MATCHERS, RunConfig, score_comparisons
+from .runner import MATCHERS, TRAINED_MATCHERS, RunConfig, score_comparisons
 from .synth import GenConfig, generate_dataset
 
 _EXIT_OK = 0
@@ -168,7 +168,7 @@ def cmd_comparisons(args) -> int:
     seed = _setting(args, file_cfg, "seed") or 0
     split = _load_split(data_path)
     try:
-        clist, key = build_comparisons(split, task, seed, args.policy, args.sample_k)
+        clist, key = build_comparisons(split, task, seed)
     except BBAuthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
@@ -186,21 +186,17 @@ def cmd_score(args) -> int:
         return _EXIT_USAGE
     clist = comparison_list_from_json(Path(args.comparisons).read_text())
     config = RunConfig(args.matcher, clist.task, **_config_values(args, RunConfig, {}))
-    split = _load_split(data_path)
     train_split = None
-    train_path = Path(args.train) if args.train else _default_path("train.json")
-    needs_train = config.matcher == "siamese" or (
-        config.matcher == "softdtw" and config.tau is None
-    )
-    if needs_train:
+    if config.matcher in TRAINED_MATCHERS:
+        train_path = Path(args.train) if args.train else _default_path("train.json")
         if train_path is None or not train_path.exists():
             print(f"error: matcher {config.matcher!r} needs --train", file=sys.stderr)
             return _EXIT_CONFIG
         train_split = _load_split(train_path)
+    split = _load_split(data_path)
     started = time.perf_counter()
     run = score_comparisons(split, clist, config, train_split)
-    order = [c.comparison_id for c in clist.comparisons]
-    Path(args.out).write_text(score_file_to_csv(run.scores, order))
+    Path(args.out).write_text(score_file_to_csv(run.scores))
     total = time.perf_counter() - started
     print(
         f"{config.matcher}: {int(run.timings['comparisons'])} comparisons, "
@@ -296,8 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("comparisons", parents=[shared], help="build a comparison list and key")
     p.add_argument("--data", default=None, help="split document (default: $BBAUTH_DATA_DIR/evaluation.json)")
     p.add_argument("--task", required=True, choices=[t.value for t in TaskKind])
-    p.add_argument("--policy", choices=("all", "sample"), default="all")
-    p.add_argument("--sample-k", dest="sample_k", type=int, default=None)
     p.add_argument("--out-list", dest="out_list", required=True)
     p.add_argument("--out-key", dest="out_key", required=True)
     p.set_defaults(handler=cmd_comparisons, casts=_casts(p))
@@ -309,15 +303,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matcher", required=True, choices=MATCHERS)
     p.add_argument("--out", required=True, help="score CSV path")
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
     p.add_argument("--margin", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--target-len", dest="target_len", type=int, default=None)
     p.add_argument("--dwt-length", dest="dwt_length", type=int, default=None)
     p.add_argument("--dwt-width", dest="dwt_width", type=int, default=None)
-    p.add_argument("--top-k", dest="top_k", type=int, default=None)
     p.set_defaults(handler=cmd_score, casts=_casts(p))
 
     p = sub.add_parser("grade", help="grade a score file against a key")

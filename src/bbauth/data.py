@@ -381,49 +381,41 @@ def _parse_session(obj, index: int, split_kind: SplitKind, warnings: list[str]) 
     return session
 
 
-def _check_counts(split: DatasetSplit, warnings: list[str], strict: bool) -> None:
-    def report(message: str) -> None:
-        if strict:
-            raise InvariantViolation(message)
-        warnings.append(message)
-
-    if split.split_kind is SplitKind.Train:
+def _check_counts(split_kind: SplitKind, sessions: tuple[Session, ...], warnings: list[str]) -> None:
+    if split_kind is SplitKind.Train:
         groups: dict[tuple[str, TaskKind], int] = {}
-        for s in split.sessions:
+        for s in sessions:
             groups[(s.subject_id or "", s.task)] = groups.get((s.subject_id or "", s.task), 0) + 1
         expected = TRAIN_SESSIONS_PER_SUBJECT
         for (subject, task), n in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
             if n != expected:
-                report(
+                warnings.append(
                     f"subject {subject!r} task {task.value!r}: expected {expected} "
                     f"train sessions, found {n}"
                 )
         return
 
     groups2: dict[tuple[str, TaskKind], dict[SessionRole, int]] = {}
-    for s in split.sessions:
+    for s in sessions:
         per_role = groups2.setdefault((s.device_id, s.task), {})
         per_role[s.role] = per_role.get(s.role, 0) + 1
     for (device, task), per_role in sorted(groups2.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
         for role, n in SESSIONS_PER_ROLE.items():
             if per_role.get(role, 0) != n:
-                report(
+                warnings.append(
                     f"device {device!r} task {task.value!r}: expected {n} {role.value!r} "
                     f"sessions, found {per_role.get(role, 0)}"
                 )
 
 
-def parse_dataset(
-    document: str | bytes, split_kind: SplitKind | None = None, *, strict_counts: bool = False
-) -> DatasetSplit:
+def parse_dataset(document: str | bytes, split_kind: SplitKind | None = None) -> DatasetSplit:
     """Parse and validate a dataset document.
 
     The document's declared split must equal `split_kind`; with no kind
     given, the declared one is taken. Session-level invariants
     (ordering, ranges, modality/task validity) are enforced and raise;
-    per-device session-count expectations are recorded as warnings
-    unless `strict_counts` is set, so that partial and hand-written
-    documents remain loadable.
+    per-device session-count expectations are recorded as warnings, so
+    that partial and hand-written documents remain loadable.
     """
     if isinstance(document, bytes):
         try:
@@ -464,8 +456,7 @@ def parse_dataset(
         if s.session_id in seen:
             raise InvariantViolation(f"duplicate session_id {s.session_id!r}")
         seen.add(s.session_id)
-    split = DatasetSplit(split_kind, sessions, tuple(warnings))
-    _check_counts(split, warnings, strict_counts)
+    _check_counts(split_kind, sessions, warnings)
     return DatasetSplit(split_kind, sessions, tuple(warnings))
 
 

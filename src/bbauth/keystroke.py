@@ -165,19 +165,13 @@ def enroll_profiles(profiles: list[KeystrokeProfile]) -> KeystrokeEnrollment:
     return KeystrokeEnrollment(tuple(profiles), tables, tuple(order_ngrams(t) for t in tables))
 
 
-def keystroke_score(
-    enrollment: KeystrokeEnrollment,
-    verify: KeystrokeProfile,
-    top_k: int | None = None,
-) -> float:
+def keystroke_score(enrollment: KeystrokeEnrollment, verify: KeystrokeProfile) -> float:
     """Similarity in [0,1] between pooled enrollment typing and one verify session.
 
-    For each n in {2, 3}: similarity = 1 - degree_of_disorder over the
-    shared n-grams (0 when nothing is shared) and availability over all
-    observed n-grams; the per-n score is their mean, and the final score
-    the mean over n. `top_k` optionally restricts the disorder
-    computation to the k most frequent shared n-grams (by combined
-    occurrence count); the default uses all shared n-grams.
+    For each n in {2, 3}: similarity = 1 - degree_of_disorder over every
+    shared n-gram (0 when nothing is shared), as in Gunetti & Picardi
+    (ACM TISSEC 2005), and availability over all observed n-grams; the
+    per-n score is their mean, and the final score the mean over n.
 
     The orderings of the shared n-grams are the precomputed orderings,
     filtered: the :func:`order_ngrams` key is a strict total order, so
@@ -196,16 +190,6 @@ def keystroke_score(
             continue
         avail = availability(enroll_table, verify_table)
         shared = set(enroll_table.entries) & set(verify_table.entries)
-        if top_k is not None and len(shared) > top_k:
-            shared = set(
-                sorted(
-                    shared,
-                    key=lambda g: (
-                        -(enroll_table.entries[g].occurrences + verify_table.entries[g].occurrences),
-                        g,
-                    ),
-                )[:top_k]
-            )
         if shared:
             sim = 1.0 - degree_of_disorder(
                 [g for g in enroll_order if g in shared],

@@ -3,11 +3,12 @@
 Per device and task, two genuine sessions enroll the user, the two
 remaining genuine sessions and the two skilled-impostor sessions are
 verified against that enrollment, and random-impostor comparisons pair
-the enrollment with verification sessions of other devices. The grader
-reconstructs the three score distributions from a pseudonymized key and
-reports AUC per impostor scenario; the mixed scenario pools random and
-skilled impostors. AUC is exact Mann-Whitney pair counting with half
-credit for ties, so auc(g, i) + auc(i, g) = 1 holds exactly.
+the enrollment with every genuine verification session of every other
+device. The grader reconstructs the three score distributions from a
+pseudonymized key and reports AUC per impostor scenario; the mixed
+scenario pools random and skilled impostors. AUC is exact Mann-Whitney
+pair counting with half credit for ties, so auc(g, i) + auc(i, g) = 1
+holds exactly.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class Label(enum.Enum):
 @dataclass(frozen=True)
 class Comparison:
     comparison_id: str
-    task: TaskKind
     enrollment_session_ids: tuple[str, str]
     verification_session_id: str
 
@@ -71,26 +71,17 @@ def _device_sessions(split: DatasetSplit, task: TaskKind) -> dict[str, dict[Sess
     return devices
 
 
-def build_comparisons(
-    split: DatasetSplit,
-    task: TaskKind,
-    seed: int,
-    random_policy: str = "all",
-    sample_k: int | None = None,
-) -> tuple[ComparisonList, KeyFile]:
+def build_comparisons(split: DatasetSplit, task: TaskKind, seed: int) -> tuple[ComparisonList, KeyFile]:
     """Build the pseudonymized comparison list and its label key.
 
-    `random_policy` is "all" (every other device's verification session)
-    or "sample" (`sample_k` of them per device, drawn by a seeded
-    generator). Comparison ids are opaque: the full list is shuffled
-    before ids are assigned, so neither id nor position leaks the label.
+    Each enrollment pair is compared with its device's genuine and skilled
+    verification sessions and, as random impostors, with every other
+    device's genuine verification sessions. Comparison ids are opaque:
+    the full list is shuffled by a generator seeded with `seed` before ids
+    are assigned, so neither id nor position leaks the label.
     """
     if split.split_kind is SplitKind.Train:
         raise ValueError("comparisons are built over validation or evaluation splits")
-    if random_policy not in ("all", "sample"):
-        raise ValueError("random_policy must be 'all' or 'sample'")
-    if random_policy == "sample" and (sample_k is None or sample_k < 1):
-        raise ValueError("sample policy needs sample_k >= 1")
 
     devices = _device_sessions(split, task)
     for device_id in sorted(devices):
@@ -102,7 +93,6 @@ def build_comparisons(
                     f"{role.value!r} sessions, found {len(roles.get(role, []))}"
                 )
 
-    rng = np.random.default_rng(seed)
     entries: list[tuple[tuple[str, str], str, Label]] = []
     ordered_devices = sorted(devices)
     for device_id in ordered_devices:
@@ -112,25 +102,18 @@ def build_comparisons(
             entries.append((enroll_pair, s.session_id, Label.Genuine))
         for s in sorted(roles[SessionRole.SkilledImpostor], key=lambda s: s.session_id):
             entries.append((enroll_pair, s.session_id, Label.SkilledImpostor))
-        others = [
-            s.session_id
-            for other in ordered_devices
-            if other != device_id
-            for s in sorted(devices[other][SessionRole.GenuineVerify], key=lambda s: s.session_id)
-        ]
-        if random_policy == "sample" and len(others) > sample_k:
-            idx = rng.choice(len(others), size=sample_k, replace=False)
-            others = [others[i] for i in sorted(idx)]
-        for verify_id in others:
-            entries.append((enroll_pair, verify_id, Label.RandomImpostor))
+        for other in ordered_devices:
+            if other != device_id:
+                for s in sorted(devices[other][SessionRole.GenuineVerify], key=lambda s: s.session_id):
+                    entries.append((enroll_pair, s.session_id, Label.RandomImpostor))
 
-    order = rng.permutation(len(entries))
+    order = np.random.default_rng(seed).permutation(len(entries))
     comparisons = []
     labels: dict[str, Label] = {}
     for position, entry_idx in enumerate(order):
         enroll_pair, verify_id, label = entries[entry_idx]
         cid = f"c{position:06d}"
-        comparisons.append(Comparison(cid, task, enroll_pair, verify_id))
+        comparisons.append(Comparison(cid, enroll_pair, verify_id))
         labels[cid] = label
     return ComparisonList(task, tuple(comparisons)), KeyFile(labels)
 
@@ -165,6 +148,11 @@ def auc(genuine_scores, impostor_scores) -> float:
 
 # --- grading ----------------------------------------------------------------
 
+#: A graded score set with at most this many distinct values is reported as
+#: degenerate: its AUC measures ties, not a matcher's ranking.
+DEGENERATE_DISTINCT_SCORES = 2
+
+
 @dataclass(frozen=True)
 class GradeReport:
     """Per-scenario AUC in percent plus label counts and diagnostics.
@@ -186,14 +174,15 @@ def grade(scores: dict[str, float], key: KeyFile) -> GradeReport:
     """Grade a score map against the label key.
 
     Missing comparison ids abort with the full id list; unknown extra
-    ids only warn; NaN or infinite scores abort.
+    ids only warn; NaN or infinite scores abort. Graded scores with at
+    most `DEGENERATE_DISTINCT_SCORES` distinct values also warn.
     """
     missing = sorted(cid for cid in key.labels if cid not in scores)
     if missing:
         raise MissingScore("score file lacks ids: " + ", ".join(missing))
-    warnings = tuple(
+    warnings = [
         f"ignored unknown comparison id {cid!r}" for cid in sorted(scores) if cid not in key.labels
-    )
+    ]
     by_label: dict[Label, list[float]] = {label: [] for label in Label}
     for cid, label in key.labels.items():
         value = scores[cid]
@@ -204,6 +193,10 @@ def grade(scores: dict[str, float], key: KeyFile) -> GradeReport:
     genuine = by_label[Label.Genuine]
     random_scores = by_label[Label.RandomImpostor]
     skilled = by_label[Label.SkilledImpostor]
+    distinct = len({scores[cid] for cid in key.labels})
+    if distinct <= DEGENERATE_DISTINCT_SCORES:
+        warnings.append(f"degenerate scores: {distinct} distinct value(s) "
+                        f"over {len(key.labels)} comparisons")
     num_r, den_r = auc_counts(genuine, random_scores)
     num_s, den_s = auc_counts(genuine, skilled)
     num_m, den_m = auc_counts(genuine, random_scores + skilled)
@@ -212,7 +205,7 @@ def grade(scores: dict[str, float], key: KeyFile) -> GradeReport:
         auc_random=100.0 * num_r / den_r,
         auc_skilled=100.0 * num_s / den_s,
         counts={label.value: len(values) for label, values in by_label.items()},
-        warnings=warnings,
+        warnings=tuple(warnings),
         pair_counts={"mixed": (num_m, den_m), "random": (num_r, den_r), "skilled": (num_s, den_s)},
     )
 
@@ -245,9 +238,14 @@ def comparison_list_from_json(text: str) -> ComparisonList:
     try:
         task = TaskKind(obj["task"])
         comparisons = tuple(
-            Comparison(c["id"], task, (c["enroll"][0], c["enroll"][1]), c["verify"])
+            Comparison(c["id"], (c["enroll"][0], c["enroll"][1]), c["verify"])
             for c in obj["comparisons"]
         )
+        seen: set[str] = set()
+        for c in comparisons:  # an unhashable id raises TypeError here
+            if c.comparison_id in seen:
+                raise SchemaViolation(f"comparison list: duplicate comparison id {c.comparison_id!r}")
+            seen.add(c.comparison_id)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SchemaViolation(f"malformed comparison list: {exc}") from None
     return ComparisonList(task, comparisons)
@@ -270,14 +268,14 @@ def key_file_from_json(text: str) -> KeyFile:
     return KeyFile(labels)
 
 
-def score_file_to_csv(scores: dict[str, float], order: list[str] | None = None) -> str:
-    """CSV with header `comparison_id,score`, LF line endings."""
+def score_file_to_csv(scores: dict[str, float]) -> str:
+    """CSV with header `comparison_id,score`, LF line endings, one row per
+    entry in the map's own order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["comparison_id", "score"])
-    ids = order if order is not None else sorted(scores)
-    for cid in ids:
-        writer.writerow([cid, repr(float(scores[cid]))])
+    for cid, value in scores.items():
+        writer.writerow([cid, repr(float(value))])
     return buf.getvalue()
 
 

@@ -22,7 +22,7 @@ from .keystroke import enroll_profiles, keystroke_profile, keystroke_score
 from .preprocess import compute_target_lengths, stack_modalities
 from .protocol import ComparisonList
 from .siamese import TrainConfig, build_pair_set, forward, siamese_score, train
-from .softdtw import calibrate, fit_feature_scale, softdtw_score
+from .softdtw import calibrate, softdtw_score
 from .touch import build_dtw_sequence, build_template, session_feature_vectors, template_score
 
 
@@ -33,18 +33,14 @@ class RunConfig:
     seed: int = TrainConfig.seed
     # softdtw; 0.05 keeps the smoothed minimum sharp on [0,1]-scaled features
     gamma: float = 0.05
-    tau: float | None = None  # calibrated from the training split when None
     # siamese
     margin: float = TrainConfig.margin
     epochs: int = TrainConfig.epochs
     batch_size: int = TrainConfig.batch_size
     learning_rate: float = TrainConfig.learning_rate
-    target_len: int | None = None  # stacking length; from training averages when None
     # dwt
     dwt_length: int = DwtImageConfig.length
     dwt_width: int = DwtImageConfig.width
-    # keystroke
-    top_k: int | None = None
 
     def __post_init__(self) -> None:
         if self.matcher not in MATCHERS:
@@ -61,7 +57,7 @@ def validate_matcher_task(matcher: str, task: TaskKind) -> None:
 
 class _KeystrokeMatcher:
     def __init__(self, config: RunConfig, train_split):
-        self.top_k = config.top_k
+        pass
 
     def prepare(self, session: Session):
         return keystroke_profile(session)
@@ -70,7 +66,7 @@ class _KeystrokeMatcher:
         return enroll_profiles(artifacts)
 
     def verify(self, model, artifact) -> float:
-        return keystroke_score(model, artifact, top_k=self.top_k)
+        return keystroke_score(model, artifact)
 
 
 class _SwipeTemplateMatcher:
@@ -102,39 +98,27 @@ class _DwtMatcher:
 
 
 class _SoftDtwMatcher:
-    def __init__(self, config: RunConfig, train_split: DatasetSplit | None):
+    def __init__(self, config: RunConfig, train_split: DatasetSplit):
         self.gamma = config.gamma
         self.task = config.task
-        self.tau, self.scale = config.tau, None
-        if config.tau is None:
-            if train_split is None:
-                raise ValueError("softdtw needs a training split to calibrate tau")
-            calibration = calibrate(train_split, config.task, config.gamma)
-            self.tau, self.scale = calibration.tau, calibration.scale
+        self.calibration = calibrate(train_split, config.task, config.gamma)
 
     def prepare(self, session: Session) -> np.ndarray:
         sequence = build_dtw_sequence(session, self.task)
         if len(sequence) == 0:
             raise EmptySequence("the alignment sequence is empty (no strokes)")
-        return sequence if self.scale is None else self.scale.apply(sequence)
+        return self.calibration.scale.apply(sequence)
 
     def enroll(self, artifacts) -> list[np.ndarray]:
         return artifacts
 
     def verify(self, model, artifact) -> float:
-        if self.scale is None:  # tau from the config: scale on the compared sequences' rows
-            pooled = fit_feature_scale([*model, artifact])
-            model, artifact = [pooled.apply(s) for s in model], pooled.apply(artifact)
-        return softdtw_score(model, artifact, self.gamma, self.tau)
+        return softdtw_score(model, artifact, self.gamma, self.calibration.tau)
 
 
 class _SiameseMatcher:
-    def __init__(self, config: RunConfig, train_split: DatasetSplit | None):
-        if train_split is None:
-            raise ValueError("siamese needs a training split")
-        self.task = config.task
-        self.target_len = (config.target_len if config.target_len is not None
-                           else compute_target_lengths(train_split.sessions)[config.task])
+    def __init__(self, config: RunConfig, train_split: DatasetSplit):
+        self.target_len = compute_target_lengths(train_split.sessions)[config.task]
         by_subject: dict[str, list[np.ndarray]] = {}
         for s in train_split.sessions_for(config.task):
             if s.subject_id is not None:
@@ -164,6 +148,9 @@ _MATCHER_CLASSES = {
     "siamese": _SiameseMatcher,
 }
 MATCHERS = tuple(_MATCHER_CLASSES)
+#: The families fitted on a training split: softdtw calibrates its feature
+#: scale and tau on it, siamese trains on it.
+TRAINED_MATCHERS = ("softdtw", "siamese")
 
 
 @dataclass
@@ -175,9 +162,14 @@ class ScoreRun:
 
 def score_comparisons(split: DatasetSplit, comparison_list: ComparisonList, config: RunConfig,
                       train_split: DatasetSplit | None = None) -> ScoreRun:
-    """Score every comparison in list order; deterministic per config."""
+    """Score every comparison in list order; deterministic per config.
+
+    `train_split` is required for the `TRAINED_MATCHERS` and unused by the rest.
+    """
     if config.task is not comparison_list.task:
         raise ValueError("run config task differs from the comparison list task")
+    if train_split is None and config.matcher in TRAINED_MATCHERS:
+        raise ValueError(f"{config.matcher} needs a training split")
     t0 = time.perf_counter()
     matcher = _MATCHER_CLASSES[config.matcher](config, train_split)
     t_setup = time.perf_counter() - t0

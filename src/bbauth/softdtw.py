@@ -114,13 +114,13 @@ def softdtw_score(
     """exp(-d/tau) where d is the smallest soft alignment cost between the
     verify sequence and any enrollment sequence, floored at 0.
 
-    Takes prepared sequences: `build_dtw_sequence` rows MinMax-scaled to
-    [0, 1] by one `FeatureScale`, the training-fitted one (see
-    :func:`calibrate`) or one fitted on the pooled rows of the compared
-    sequences. A gamma small next to the per-step cost (see
-    `RunConfig.gamma`) then keeps d close to the hard alignment cost; a
-    large gamma can drive d below 0, where the floor maps the comparison
-    to 1. `tau` should come from the same calibration.
+    Takes prepared sequences: `build_dtw_sequence` rows MinMax-scaled by
+    the `FeatureScale` that :func:`calibrate` fits on the training split,
+    so a sequence's scaled rows never depend on the pair it is compared
+    in. A gamma small next to the per-step cost (see `RunConfig.gamma`)
+    then keeps d close to the hard alignment cost; a large gamma can
+    drive d below 0, where the floor maps the comparison to 1. `tau`
+    should come from the same calibration.
     """
     d = min(soft_dtw(seq, verify_sequence, gamma) for seq in enroll_sequences)
     return math.exp(-max(d, 0.0) / tau)

@@ -433,17 +433,8 @@ def generate_dataset(config: GenConfig) -> GeneratedDataset:
             keys[(split_obj.split_kind, task)] = build_comparisons(split_obj, task, seed)
     manifest = {
         "generator": "bbauth.synth",
-        "config": {
-            "n_users": config.n_users,
-            "n_train_users": config.n_train_users,
-            "n_validation_users": config.n_validation_users,
-            "sigma_between": config.sigma_between,
-            "sigma_within": config.sigma_within,
-            "imitation_alpha": config.imitation_alpha,
-            "device_bias_beta": config.device_bias_beta,
-            "tasks": [t.value for t in config.tasks],
-            "master_seed": config.master_seed,
-        },
+        "config": {f.name: getattr(config, f.name) for f in fields(config)}
+        | {"tasks": [t.value for t in config.tasks]},
         "sessions": {
             "train": len(train.sessions),
             "validation": len(validation.sessions),

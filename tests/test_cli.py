@@ -146,8 +146,7 @@ def test_score_defaults_match_library(synth_dir, tmp_path, matcher, task):
         RunConfig(matcher, clist.task),
         parse_dataset((synth_dir / "train.json").read_text()),
     )
-    order = [c.comparison_id for c in clist.comparisons]
-    assert out.read_text() == score_file_to_csv(run.scores, order)
+    assert out.read_text() == score_file_to_csv(run.scores)
 
 
 def _manifest_config(config: GenConfig) -> dict:
@@ -183,7 +182,7 @@ def test_every_config_field_has_a_flag():
     assert set(mapped) <= {f.name for f in fields(GenConfig)}
 
 
-def test_grade_perfect_and_constant(synth_dir, tmp_path):
+def test_grade_perfect_and_constant(synth_dir, tmp_path, capsys):
     key_path = synth_dir / "key_evaluation_tapping.json"
     key = json.loads(key_path.read_text())["labels"]
     perfect = "comparison_id,score\n" + "".join(
@@ -200,10 +199,14 @@ def test_grade_perfect_and_constant(synth_dir, tmp_path):
     constant = "comparison_id,score\n" + "".join(f"{cid},0.5\n" for cid in key)
     constant_path = tmp_path / "constant.csv"
     constant_path.write_text(constant)
+    capsys.readouterr()
     assert main(["grade", "--scores", str(constant_path), "--key", str(key_path),
                  "--out-prefix", str(tmp_path / "constant_report")]) == 0
+    warning = f"degenerate scores: 1 distinct value(s) over {len(key)} comparisons"
+    assert f"warning: {warning}\n" in capsys.readouterr().err
     report = json.loads((tmp_path / "constant_report.json").read_text())
     assert (report["auc_mixed"], report["auc_random"], report["auc_skilled"]) == (50.0, 50.0, 50.0)
+    assert report["warnings"] == [warning]
 
 
 def test_grade_missing_scores_exit_5(synth_dir, tmp_path):
@@ -280,7 +283,7 @@ def test_config_file_unknown_key_exit_4(synth_dir, tmp_path, capsys):
     score = ["score", "--data", str(synth_dir / "evaluation.json"),
              "--comparisons", str(synth_dir / "comparisons_evaluation_tapping.json"),
              "--matcher", "softdtw", "--out", str(tmp_path / "s.csv")]
-    for key in ("gama", "threads"):
+    for key in ("gama", "threads", "tau", "top_k", "target_len"):
         config = tmp_path / f"{key}.cfg"
         config.write_text(f"# tuning\ngamma = 0.05\n{key} = 4\n")
         capsys.readouterr()
@@ -294,6 +297,47 @@ def test_config_file_unknown_key_exit_4(synth_dir, tmp_path, capsys):
         "--config", str(config), "--out-list", str(tmp_path / "a.json"),
         "--out-key", str(tmp_path / "k.json"),
     ]) == 4
+
+
+def test_removed_flags_are_usage_errors(synth_dir, tmp_path, capsys):
+    score = ["score", "--data", str(synth_dir / "evaluation.json"),
+             "--comparisons", str(synth_dir / "comparisons_evaluation_tapping.json"),
+             "--matcher", "softdtw", "--out", str(tmp_path / "s.csv")]
+    comparisons = ["comparisons", "--data", str(synth_dir / "validation.json"), "--task", "gallery",
+                   "--out-list", str(tmp_path / "a.json"), "--out-key", str(tmp_path / "k.json")]
+    for argv, flag in ((score, "--tau"), (score, "--top-k"), (score, "--target-len"),
+                       (comparisons, "--policy"), (comparisons, "--sample-k")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "a.json").exists()
+
+
+@pytest.mark.parametrize("matcher", ["softdtw", "siamese"])
+def test_score_without_train_exit_4(matcher, synth_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("BBAUTH_DATA_DIR", raising=False)
+    monkeypatch.setattr(cli, "_load_split", lambda path: pytest.fail(f"parsed {path}"))
+    out = tmp_path / "s.csv"
+    assert main(["score", "--data", str(synth_dir / "evaluation.json"),
+                 "--comparisons", str(synth_dir / "comparisons_evaluation_tapping.json"),
+                 "--matcher", matcher, "--out", str(out)]) == 4
+    assert f"matcher {matcher!r} needs --train" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_score_rejects_duplicate_comparison_ids(synth_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_load_split", lambda path: pytest.fail(f"parsed {path}"))
+    obj = json.loads((synth_dir / "comparisons_evaluation_tapping.json").read_text())
+    obj["comparisons"][1]["id"] = obj["comparisons"][0]["id"]
+    comparisons = tmp_path / "dup.json"
+    comparisons.write_text(json.dumps(obj))
+    out = tmp_path / "s.csv"
+    assert main(["score", "--data", str(synth_dir / "evaluation.json"),
+                 "--comparisons", str(comparisons), "--matcher", "dwt-distance",
+                 "--out", str(out)]) == 4
+    assert f"duplicate comparison id {obj['comparisons'][0]['id']!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("matcher", ["softdtw", "dwt-distance"])

@@ -36,41 +36,23 @@ DIGESTS = {
         "d97178e6b01abc2fbbfa076bcbef8dc1c0b6f0122e73a99716566f03b2cc6364",
 }
 
-# softdtw on tapping, by tau: calibrated on the training split (None) and set in the config
-SOFTDTW_TAPPING = {
-    None: (
-        "0x1.a711f524b0b59p-63", "0x1.8dd72f8145909p-33", "0x1.055e25cd60f09p-8",
-        "0x1.22620f4267bdap-28", "0x1.03d4e4b1c6372p-8", "0x1.7f4959bcc27dfp-8",
-        "0x1.6b8de02c08df0p-27", "0x1.75934b7b8f0e4p-20", "0x1.425aa5e77161cp-1",
-        "0x1.3055087ca2a49p-23", "0x1.29b8ea94b5a93p-2", "0x1.0216f5f9e9132p-1",
-        "0x1.11b566555971dp-90", "0x1.39f17f7610702p-13", "0x1.b1c5b0a69b4b7p-40",
-        "0x1.21fd996ec7cdap-82", "0x1.8590f3f8107e2p-32", "0x1.5fe9d401ce9c2p-84",
-        "0x1.a543e2755aab2p-2", "0x1.92a873d58f412p-62", "0x1.b5f60e5c42da5p-8",
-        "0x1.512f4f4087a36p-3", "0x1.4b48a196f955fp-3", "0x1.7d8892acf86a3p-24",
-        "0x1.5f5752817ffd7p-25", "0x1.062d7182cb10bp-14", "0x1.8b6f5d26bf716p-26",
-        "0x1.7709d55ffd183p-24", "0x1.e1c06b8d0c173p-2", "0x1.01bc8dcb300f9p-3",
-        "0x1.ae5ec91a9e482p-3", "0x1.4d20865f0eed1p-19", "0x1.5082b54d77d31p-53",
-        "0x1.7d164b0937616p-85", "0x1.e87ac7d5f9c66p-2", "0x1.bff5c473d8433p-10",
-        "0x1.53e2d4a7fb1e1p-54", "0x1.38eb736a69203p-24", "0x1.4107d4c2a2c2ep-8",
-        "0x1.a28e278a178f7p-41",
-    ),
-    0.5: (
-        "0x1.0eabf7e64666ap-55", "0x1.5df7406c610aap-42", "0x1.b371e26595d60p-23",
-        "0x1.bbe0995f039d3p-42", "0x1.4846f1fab0f99p-24", "0x1.609bdbdb029b2p-20",
-        "0x1.2e6412968e2e0p-36", "0x1.aad9d67a226adp-33", "0x1.3babbb2de79bfp-8",
-        "0x1.440d0947fc1b9p-38", "0x1.6234a03c927acp-12", "0x1.c73309e2efb80p-12",
-        "0x1.58dccd431b1a2p-62", "0x1.c46cca729dcc8p-29", "0x1.20d7fb06c38f2p-42",
-        "0x1.2ad244bd08e54p-63", "0x1.9c5a5ca92ede7p-40", "0x1.ef97a78e90379p-59",
-        "0x1.4122a752f86f0p-8", "0x1.2671b0037626dp-58", "0x1.135dcd7c8c381p-18",
-        "0x1.366dd9daa0a62p-12", "0x1.e07bda959303fp-12", "0x1.3098f5af5f4e0p-34",
-        "0x1.7525b8fb69f0fp-36", "0x1.a42f9bb5296b4p-30", "0x1.9a49db154cb97p-34",
-        "0x1.622e4a21fd918p-34", "0x1.1aeb5b318900ap-8", "0x1.0cdc67efd6b41p-10",
-        "0x1.a424603dcee95p-9", "0x1.f765182b1b50ap-28", "0x1.796a1d6f637b9p-50",
-        "0x1.be8bb6bff6f8dp-63", "0x1.ebc1ea865905bp-8", "0x1.0108f46172da3p-24",
-        "0x1.17034160d353dp-50", "0x1.20d7f9a02a254p-32", "0x1.32b2b9dd97f97p-20",
-        "0x1.c617b85a81e37p-47",
-    ),
-}
+# softdtw on tapping, with tau and the feature scale calibrated on the training split
+SOFTDTW_TAPPING = (
+    "0x1.a711f524b0b59p-63", "0x1.8dd72f8145909p-33", "0x1.055e25cd60f09p-8",
+    "0x1.22620f4267bdap-28", "0x1.03d4e4b1c6372p-8", "0x1.7f4959bcc27dfp-8",
+    "0x1.6b8de02c08df0p-27", "0x1.75934b7b8f0e4p-20", "0x1.425aa5e77161cp-1",
+    "0x1.3055087ca2a49p-23", "0x1.29b8ea94b5a93p-2", "0x1.0216f5f9e9132p-1",
+    "0x1.11b566555971dp-90", "0x1.39f17f7610702p-13", "0x1.b1c5b0a69b4b7p-40",
+    "0x1.21fd996ec7cdap-82", "0x1.8590f3f8107e2p-32", "0x1.5fe9d401ce9c2p-84",
+    "0x1.a543e2755aab2p-2", "0x1.92a873d58f412p-62", "0x1.b5f60e5c42da5p-8",
+    "0x1.512f4f4087a36p-3", "0x1.4b48a196f955fp-3", "0x1.7d8892acf86a3p-24",
+    "0x1.5f5752817ffd7p-25", "0x1.062d7182cb10bp-14", "0x1.8b6f5d26bf716p-26",
+    "0x1.7709d55ffd183p-24", "0x1.e1c06b8d0c173p-2", "0x1.01bc8dcb300f9p-3",
+    "0x1.ae5ec91a9e482p-3", "0x1.4d20865f0eed1p-19", "0x1.5082b54d77d31p-53",
+    "0x1.7d164b0937616p-85", "0x1.e87ac7d5f9c66p-2", "0x1.bff5c473d8433p-10",
+    "0x1.53e2d4a7fb1e1p-54", "0x1.38eb736a69203p-24", "0x1.4107d4c2a2c2ep-8",
+    "0x1.a28e278a178f7p-41",
+)
 
 
 @pytest.fixture(scope="module")
@@ -94,10 +76,9 @@ def test_score_map_digest(four_users, matcher, task):
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[(matcher, task)]
 
 
-@pytest.mark.parametrize("tau", list(SOFTDTW_TAPPING))
-def test_softdtw_scores(four_users, tau):
-    scores = _scores(four_users, RunConfig("softdtw", TaskKind.Tapping, tau=tau))
-    expected = [float.fromhex(v) for v in SOFTDTW_TAPPING[tau]]
+def test_softdtw_scores(four_users):
+    scores = _scores(four_users, RunConfig("softdtw", TaskKind.Tapping))
+    expected = [float.fromhex(v) for v in SOFTDTW_TAPPING]
     assert len(scores) == len(expected)
     for (cid, got), want in zip(scores.items(), expected):
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), cid

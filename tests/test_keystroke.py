@@ -192,9 +192,9 @@ def _typed_session(text, sid="s", latency=None):
                    {ModalityKind.Keystroke: _events(list(zip(times, codes)))}, subject_id="u")
 
 
-def _score(enroll_sessions, verify_session, top_k=None):
+def _score(enroll_sessions, verify_session):
     enrollment = enroll_profiles([keystroke_profile(s) for s in enroll_sessions])
-    return keystroke_score(enrollment, keystroke_profile(verify_session), top_k=top_k)
+    return keystroke_score(enrollment, keystroke_profile(verify_session))
 
 
 RICH_TEXT = "the the the the"  # every n-gram occurs at least 3 times
@@ -249,21 +249,13 @@ def test_score_genuine_above_impostor():
     assert _score([enroll], genuine) > _score([enroll], impostor)
 
 
-def test_score_top_k_restricts_disorder_set():
-    enroll = _typed_session("the quick brown fox jumps over the dog", "e")
-    verify = _typed_session("the lazy dog jumps over the brown fox", "v")
-    full = _score([enroll], verify)
-    limited = _score([enroll], verify, top_k=3)
-    assert 0.0 <= limited <= 1.0 and 0.0 <= full <= 1.0
-
-
 def test_score_requires_keystroke_data():
     empty = Session("s", "d", TaskKind.Keystroke, SessionRole.Unlabeled, {}, subject_id="u")
     with pytest.raises(NoKeystrokeData):
         _score([empty], empty)
 
 
-def _reference_score(enroll_sessions, verify_session, top_k=None):
+def _reference_score(enroll_sessions, verify_session):
     """The score composed within one comparison: extract, pool, restrict, sort."""
     enroll_streams = [s.stream(ModalityKind.Keystroke) for s in enroll_sessions]
     verify_stream = verify_session.stream(ModalityKind.Keystroke)
@@ -276,10 +268,6 @@ def _reference_score(enroll_sessions, verify_session, top_k=None):
             continue
         avail = availability(enroll_table, verify_table)
         shared = set(enroll_table.entries) & set(verify_table.entries)
-        if top_k is not None and len(shared) > top_k:
-            def combined(g):
-                return -(enroll_table.entries[g].occurrences + verify_table.entries[g].occurrences), g
-            shared = set(sorted(shared, key=combined)[:top_k])
         sim = 0.0
         if shared:
             sim = 1.0 - degree_of_disorder(
@@ -291,17 +279,15 @@ def _reference_score(enroll_sessions, verify_session, top_k=None):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.text("abcd", min_size=2, max_size=30), min_size=3, max_size=3),
-       st.sampled_from([None, 1, 3]))
-def test_score_bitwise_equal_to_reference(texts, top_k):
+@given(st.lists(st.text("abcd", min_size=2, max_size=30), min_size=3, max_size=3))
+def test_score_bitwise_equal_to_reference(texts):
     # few letters and the code-driven latencies give tied durations and counts
     enroll = [_typed_session(texts[0], "e1"), _typed_session(texts[1], "e2")]
     verify = _typed_session(texts[2], "v")
-    assert _score(enroll, verify, top_k).hex() == _reference_score(enroll, verify, top_k).hex()
+    assert _score(enroll, verify).hex() == _reference_score(enroll, verify).hex()
 
 
-@pytest.mark.parametrize("top_k", [None, 3])
-def test_synth_scores_bitwise_equal_to_reference(tiny_generated, top_k):
+def test_synth_scores_bitwise_equal_to_reference(tiny_generated):
     from bbauth.data import SplitKind
 
     sessions = tiny_generated.evaluation.by_id()
@@ -309,4 +295,4 @@ def test_synth_scores_bitwise_equal_to_reference(tiny_generated, top_k):
     for c in clist.comparisons:
         enroll = [sessions[sid] for sid in c.enrollment_session_ids]
         verify = sessions[c.verification_session_id]
-        assert _score(enroll, verify, top_k).hex() == _reference_score(enroll, verify, top_k).hex()
+        assert _score(enroll, verify).hex() == _reference_score(enroll, verify).hex()

@@ -51,7 +51,7 @@ def test_build_comparisons_counts_two_devices(tiny_generated):
 
 
 def test_build_comparisons_counts_formula(default_generated):
-    # 8 devices, policy all: per device 2 genuine + 2 skilled + 7*2 random
+    # 8 devices: per device 2 genuine + 2 skilled + 7*2 random
     clist, key = build_comparisons(default_generated.evaluation, TaskKind.Tapping, seed=0)
     labels = list(key.labels.values())
     assert labels.count(Label.Genuine) == 16
@@ -76,16 +76,6 @@ def test_build_comparisons_ids_opaque(tiny_generated):
         assert comparison.comparison_id == f"c{i:06d}"
         enroll = comparison.enrollment_session_ids
         assert len(set(enroll)) == 2
-
-
-def test_build_comparisons_sample_policy(tiny_generated):
-    clist, key = build_comparisons(
-        tiny_generated.validation, TaskKind.Tapping, seed=3, random_policy="sample", sample_k=1
-    )
-    labels = list(key.labels.values())
-    assert labels.count(Label.RandomImpostor) == 2  # one per device
-    with pytest.raises(ValueError):
-        build_comparisons(tiny_generated.validation, TaskKind.Tapping, 0, "sample")
 
 
 def test_build_comparisons_incomplete_device(tiny_generated):
@@ -194,6 +184,21 @@ def test_grade_constant_scores():
     key = _key()
     report = grade({cid: 0.5 for cid in key.labels}, key)
     assert (report.auc_mixed, report.auc_random, report.auc_skilled) == (50.0, 50.0, 50.0)
+    n = len(key.labels)
+    assert report.warnings == (f"degenerate scores: 1 distinct value(s) over {n} comparisons",)
+
+
+def test_grade_warns_only_at_few_distinct_scores():
+    key = _key(2, 2, 2)
+    ids = list(key.labels)
+    two = grade({cid: (0.0, 1.0)[i % 2] for i, cid in enumerate(ids)}, key)
+    assert two.warnings == ("degenerate scores: 2 distinct value(s) over 6 comparisons",)
+    three = grade({cid: (0.0, 0.5, 1.0)[i % 3] for i, cid in enumerate(ids)}, key)
+    assert three.warnings == ()
+    # an unknown id's score is not graded, so it does not count as a distinct value
+    extra = grade({**{cid: (0.0, 1.0)[i % 2] for i, cid in enumerate(ids)}, "c999999": 0.5}, key)
+    assert extra.warnings == ("ignored unknown comparison id 'c999999'",
+                              "degenerate scores: 2 distinct value(s) over 6 comparisons")
 
 
 def test_grade_mixed_counts_are_sums():
@@ -287,15 +292,26 @@ def test_comparison_list_roundtrip(tiny_generated):
     assert set(obj) == {"task", "comparisons"}
 
 
+def test_comparison_list_rejects_duplicate_ids(tiny_generated):
+    clist, _ = build_comparisons(tiny_generated.validation, TaskKind.Tapping, seed=4)
+    obj = json.loads(comparison_list_to_json(clist))
+    obj["comparisons"][2]["id"] = obj["comparisons"][0]["id"]
+    with pytest.raises(SchemaViolation, match="duplicate comparison id 'c000000'"):
+        comparison_list_from_json(json.dumps(obj))
+    obj["comparisons"][2]["id"] = ["c000002"]
+    with pytest.raises(SchemaViolation, match="malformed comparison list"):
+        comparison_list_from_json(json.dumps(obj))
+
+
 def test_key_file_roundtrip(tiny_generated):
     _, key = build_comparisons(tiny_generated.validation, TaskKind.Tapping, seed=4)
     assert key_file_from_json(key_file_to_json(key)) == key
 
 
 def test_score_file_roundtrip():
-    scores = {"c000000": 0.25, "c000001": 1.0, "c000002": 0.0}
+    scores = {"c000002": 0.0, "c000000": 0.25, "c000001": 1.0}
     text = score_file_to_csv(scores)
-    assert text.startswith("comparison_id,score\n")
+    assert text == "comparison_id,score\nc000002,0.0\nc000000,0.25\nc000001,1.0\n"  # map order
     parsed, warnings = score_file_from_csv(text)
     assert parsed == scores
     assert warnings == []
