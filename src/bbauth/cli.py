@@ -186,6 +186,7 @@ def cmd_score(args) -> int:
         return _EXIT_USAGE
     clist = comparison_list_from_json(Path(args.comparisons).read_text())
     config = RunConfig(args.matcher, clist.task, **_config_values(args, RunConfig, {}))
+    started = time.perf_counter()
     train_split = None
     if config.matcher in TRAINED_MATCHERS:
         train_path = Path(args.train) if args.train else _default_path("train.json")
@@ -194,12 +195,12 @@ def cmd_score(args) -> int:
             return _EXIT_CONFIG
         train_split = _load_split(train_path)
     split = _load_split(data_path)
-    started = time.perf_counter()
+    parse_s = time.perf_counter() - started
     run = score_comparisons(split, clist, config, train_split)
     Path(args.out).write_text(score_file_to_csv(run.scores))
     total = time.perf_counter() - started
     print(
-        f"{config.matcher}: {int(run.timings['comparisons'])} comparisons, "
+        f"{config.matcher}: {int(run.timings['comparisons'])} comparisons, parse {parse_s:.2f}s, "
         f"setup {run.timings['setup_s']:.2f}s, prepare {run.timings['prepare_s']:.2f}s, "
         f"score (enroll + verify) {run.timings['score_s']:.2f}s, total {total:.2f}s"
     )

@@ -25,9 +25,12 @@ after construction and safe to share across threads.
 from __future__ import annotations
 
 import enum
+import gc
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -279,18 +282,35 @@ def _expect_str(value, path: str) -> str:
     return value
 
 
+_LIST = frozenset({list})
 _INTEGER = frozenset({int})
 _NUMBER = frozenset({int, float})
 _MAX_TIMESTAMP = 2**53  # float64 holds every integer up to here
 _ROW_NOUN = {ModalityKind.Keystroke: "keystroke event", ModalityKind.Touch: "touch event"}
+_INTEGER_INDICES = {
+    modality: tuple(c for c, name in enumerate(columns) if name in INTEGER_COLUMNS)
+    for modality, columns in STREAM_COLUMNS.items()
+}
 
 
-def _parse_stream(modality: ModalityKind, rows: list, path: str) -> np.ndarray:
-    """The rows of one stream as an array from :func:`make_stream`.
+def _rows_well_formed(modality: ModalityKind, rows: list) -> bool:
+    """Whether every row passes :func:`_check_rows`, tested in a few passes
+    over the whole stream instead of row by row."""
+    width = len(STREAM_COLUMNS[modality])
+    return (
+        set(map(type, rows)) <= _LIST
+        and set(map(len, rows)) <= {width}
+        and set(map(type, chain.from_iterable(rows))) <= _NUMBER
+        and all(
+            set(map(type, map(itemgetter(c), rows))) <= _INTEGER
+            for c in _INTEGER_INDICES[modality]
+        )
+        and max(map(itemgetter(COL_T), rows), default=0) <= _MAX_TIMESTAMP
+    )
 
-    Each row gets type tests only, with no object built for it; the
-    first malformed row raises.
-    """
+
+def _check_rows(modality: ModalityKind, rows: list, path: str) -> None:
+    """Raise at the first malformed row, naming it."""
     columns = STREAM_COLUMNS[modality]
     kinds = [_INTEGER if name in INTEGER_COLUMNS else _NUMBER for name in columns]
     for j, row in enumerate(rows):
@@ -306,12 +326,27 @@ def _parse_stream(modality: ModalityKind, rows: list, path: str) -> np.ndarray:
                 raise SchemaViolation(f"{path}[{j}]: expected {expected}, got {got}")
         if row[COL_T] > _MAX_TIMESTAMP:
             raise SchemaViolation(f"{path}[{j}]: timestamp above 2**53")
+
+
+def _parse_stream(modality: ModalityKind, rows: list, path: str) -> np.ndarray:
+    """The rows of one stream as an array like :func:`make_stream` gives.
+
+    The rows are checked in bulk; only when that fails does the row by
+    row check run, to raise at the first malformed row.
+    """
+    if not _rows_well_formed(modality, rows):
+        _check_rows(modality, rows, path)
+    shape = (len(rows), len(STREAM_COLUMNS[modality]))
     try:
-        return make_stream(modality, rows)
+        stream = np.fromiter(chain.from_iterable(rows), np.float64, count=shape[0] * shape[1])
     except OverflowError:
         # an integer beyond float64 becomes ±inf, as the literal 1e400 does,
         # and fails validation like any other out-of-range value
-        return make_stream(modality, [list(map(_to_float, row)) for row in rows])
+        values = map(_to_float, chain.from_iterable(rows))
+        stream = np.fromiter(values, np.float64, count=shape[0] * shape[1])
+    stream = stream.reshape(shape)
+    stream.flags.writeable = False
+    return stream
 
 
 def _to_float(value: int | float) -> float:
@@ -416,7 +451,22 @@ def parse_dataset(document: str | bytes, split_kind: SplitKind | None = None) ->
     (ordering, ranges, modality/task validity) are enforced and raise;
     per-device session-count expectations are recorded as warnings, so
     that partial and hand-written documents remain loadable.
+
+    The cyclic garbage collector is off during the call: the decoded
+    document is a tree of millions of lists that holds no cycle. It dies
+    with `_parse_dataset`'s frame, before the collector's previous state
+    comes back.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_dataset(document, split_kind)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_dataset(document: str | bytes, split_kind: SplitKind | None) -> DatasetSplit:
     if isinstance(document, bytes):
         try:
             document = document.decode("utf-8")

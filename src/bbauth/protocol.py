@@ -233,20 +233,36 @@ def comparison_list_to_json(clist: ComparisonList) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _comparison(index: int, entry) -> Comparison:
+    """One entry of a comparison list, whose ids must be strings."""
+    cid, enroll, verify = entry["id"], entry["enroll"], entry["verify"]
+    checks = (
+        ("id", isinstance(cid, str), "a string"),
+        ("enroll", isinstance(enroll, list) and len(enroll) == 2
+         and all(isinstance(s, str) for s in enroll), "a list of two session id strings"),
+        ("verify", isinstance(verify, str), "a session id string"),
+    )
+    name = f"comparison {cid!r}" if isinstance(cid, str) else f"comparisons[{index}]"
+    for field, ok, expected in checks:
+        if not ok:
+            got = json.dumps(entry[field])[:40]
+            raise SchemaViolation(
+                f"malformed comparison list: {name}: {field} must be {expected}, got {got}"
+            )
+    return Comparison(cid, (enroll[0], enroll[1]), verify)
+
+
 def comparison_list_from_json(text: str) -> ComparisonList:
     obj = _loads(text, "comparison list")
     try:
         task = TaskKind(obj["task"])
-        comparisons = tuple(
-            Comparison(c["id"], (c["enroll"][0], c["enroll"][1]), c["verify"])
-            for c in obj["comparisons"]
-        )
+        comparisons = tuple(_comparison(i, c) for i, c in enumerate(obj["comparisons"]))
         seen: set[str] = set()
-        for c in comparisons:  # an unhashable id raises TypeError here
+        for c in comparisons:
             if c.comparison_id in seen:
                 raise SchemaViolation(f"comparison list: duplicate comparison id {c.comparison_id!r}")
             seen.add(c.comparison_id)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation(f"malformed comparison list: {exc}") from None
     return ComparisonList(task, comparisons)
 

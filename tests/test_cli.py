@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict, fields
 
 import pytest
@@ -338,6 +339,47 @@ def test_score_rejects_duplicate_comparison_ids(synth_dir, tmp_path, monkeypatch
                  "--out", str(out)]) == 4
     assert f"duplicate comparison id {obj['comparisons'][0]['id']!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("verify", 5), ("enroll", "ab"), ("enroll", ["a", "b", "c"]), ("id", 5),
+])
+def test_score_rejects_non_string_session_ids(synth_dir, tmp_path, monkeypatch, capsys,
+                                              field, value):
+    monkeypatch.setattr(cli, "_load_split", lambda path: pytest.fail(f"parsed {path}"))
+    obj = json.loads((synth_dir / "comparisons_evaluation_tapping.json").read_text())
+    obj["comparisons"][0][field] = value
+    comparisons = tmp_path / "bad.json"
+    comparisons.write_text(json.dumps(obj))
+    out = tmp_path / "s.csv"
+    assert main(["score", "--data", str(synth_dir / "evaluation.json"),
+                 "--comparisons", str(comparisons), "--matcher", "dwt-distance",
+                 "--out", str(out)]) == 4
+    named = "comparisons[0]" if field == "id" else f"comparison {obj['comparisons'][0]['id']!r}"
+    assert f"error: malformed comparison list: {named}: {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_score_parses_each_split_once_and_reports_parse_time(synth_dir, tmp_path, monkeypatch,
+                                                             capsys):
+    parsed = []
+
+    def counting_parse(document, split_kind=None):
+        split = parse_dataset(document, split_kind)
+        parsed.append(split.split_kind.value)
+        return split
+
+    monkeypatch.setattr(cli, "parse_dataset", counting_parse)
+    capsys.readouterr()
+    assert main(["score", "--data", str(synth_dir / "evaluation.json"),
+                 "--train", str(synth_dir / "train.json"),
+                 "--comparisons", str(synth_dir / "comparisons_evaluation_tapping.json"),
+                 "--matcher", "softdtw", "--out", str(tmp_path / "s.csv")]) == 0
+    assert sorted(parsed) == ["evaluation", "train"]
+    line = capsys.readouterr().out
+    assert re.fullmatch(
+        r"softdtw: \d+ comparisons, parse \d+\.\d\ds, setup \d+\.\d\ds, prepare \d+\.\d\ds, "
+        r"score \(enroll \+ verify\) \d+\.\d\ds, total \d+\.\d\ds\n", line)
 
 
 @pytest.mark.parametrize("matcher", ["softdtw", "dwt-distance"])

@@ -1,4 +1,6 @@
+import gc
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -9,11 +11,14 @@ from hypothesis import strategies as st
 from bbauth.data import (
     COL_ACTION,
     COL_T,
+    INTEGER_COLUMNS,
+    STREAM_COLUMNS,
     ModalityKind,
     Session,
     SessionRole,
     SplitKind,
     TaskKind,
+    _parse_stream,
     make_stream,
     parse_dataset,
     serialize_dataset,
@@ -212,6 +217,138 @@ def test_generated_20_user_evaluation_count():
     assert len(gen.evaluation.sessions) == 20 * 4 * 6
     counts = Counter((s.device_id, s.task) for s in gen.evaluation.sessions)
     assert set(counts.values()) == {6}
+
+
+# --- parsing cost: no cyclic GC, rows checked in bulk ------------------------
+
+class _Collections:
+    """Counts the cyclic collector's runs while installed in `gc.callbacks`."""
+
+    def __init__(self):
+        self.count = 0
+
+    def __call__(self, phase, info):
+        self.count += phase == "start"
+
+    def __enter__(self):
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc):
+        gc.callbacks.remove(self)
+
+
+def test_parse_runs_no_garbage_collection(tiny_generated):
+    text = serialize_dataset(tiny_generated.evaluation)
+    assert gc.isenabled()
+    with _Collections() as collections:
+        gc.collect()  # the counter sees a collection when one runs
+        assert collections.count == 1
+        for _ in range(3):
+            parse_dataset(text)
+    assert collections.count == 1
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("text, error", [
+    ("{not json", MalformedDocument),
+    (_with_streams("tapping", {"touch": [[0, 0.5, 0.5, 1.5]]}), SchemaViolation),
+    (_with_streams("tapping", {"touch": [[0, 0.5, 0.5, 3]]}), InvariantViolation),
+])
+def test_parse_restores_the_collector_state(text, error):
+    with pytest.raises(error):
+        parse_dataset(text)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.raises(error):
+            parse_dataset(text)
+        assert not gc.isenabled()
+        parse_dataset(MINIMAL_DOC)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def _reference_stream(modality, rows, path):
+    """The row-by-row parse: type tests per row, first bad row raises."""
+    columns = STREAM_COLUMNS[modality]
+    for j, row in enumerate(rows):
+        if type(row) is not list:
+            raise SchemaViolation(f"{path}[{j}]: expected an event array")
+        if len(row) != len(columns):
+            noun = {ModalityKind.Keystroke: "keystroke event",
+                    ModalityKind.Touch: "touch event"}.get(modality, "sensor sample")
+            raise SchemaViolation(f"{path}[{j}]: {noun} needs {len(columns)} entries")
+        for value, name in zip(row, columns):
+            integer = name in INTEGER_COLUMNS
+            if type(value) not in ((int,) if integer else (int, float)):
+                expected = "integer" if integer else "number"
+                raise SchemaViolation(f"{path}[{j}]: expected {expected}, got {type(value).__name__}")
+        if row[COL_T] > 2**53:
+            raise SchemaViolation(f"{path}[{j}]: timestamp above 2**53")
+
+    def to_float(value):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+
+    try:
+        return make_stream(modality, rows)
+    except OverflowError:
+        return make_stream(modality, [[to_float(v) for v in row] for row in rows])
+
+
+_HUGE = st.sampled_from([2**64 + 1, 10**400, -(10**400)])  # the last two overflow float64
+_ODD_VALUES = st.one_of(
+    st.sampled_from([2**53 + 1, 1.0, -0.0, True, False, None, "7", [1], {}]),
+    _HUGE,
+    st.floats(),
+)
+
+
+@st.composite
+def _stream_rows(draw):
+    """A well-formed stream of one modality with up to two rows spoilt."""
+    modality = draw(st.sampled_from(list(ModalityKind)))
+    columns = STREAM_COLUMNS[modality]
+    number = st.one_of(st.integers(-(2**70), 2**70), st.floats(), _HUGE)
+    good_row = st.tuples(*(
+        st.integers(-5, 2**53) if name == "t"
+        else st.one_of(st.integers(-300, 300), _HUGE) if name in INTEGER_COLUMNS
+        else number
+        for name in columns
+    )).map(list)
+    rows = draw(st.lists(good_row, max_size=8))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        j = draw(st.integers(0, len(rows) - 1))
+        spoil = draw(st.sampled_from(["value", "length", "row"]))
+        if spoil == "value" and type(rows[j]) is list and rows[j]:
+            rows[j][draw(st.integers(0, len(rows[j]) - 1))] = draw(_ODD_VALUES)
+        elif spoil == "length":
+            size = draw(st.integers(0, len(columns) + 2).filter(lambda n: n != len(columns)))
+            rows[j] = draw(st.lists(number, min_size=size, max_size=size))
+        else:
+            rows[j] = draw(st.sampled_from([5, None, "row", {"t": 1}, True, 1.5]))
+    return modality, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(_stream_rows())
+def test_bulk_row_checks_equal_the_row_by_row_parse(case):
+    modality, rows = case
+    path = f"streams.{modality.value}"
+    try:
+        expected = _reference_stream(modality, rows, path)
+    except SchemaViolation as exc:
+        with pytest.raises(SchemaViolation) as info:
+            _parse_stream(modality, rows, path)
+        assert str(info.value) == str(exc)
+        return
+    got = _parse_stream(modality, rows, path)
+    assert (got.dtype, got.shape, got.flags.writeable) == (expected.dtype, expected.shape, False)
+    assert got.tobytes() == expected.tobytes()
 
 
 # --- validate_session -----------------------------------------------------

@@ -303,6 +303,27 @@ def test_comparison_list_rejects_duplicate_ids(tiny_generated):
         comparison_list_from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("verify", 5, "comparison 'c000001': verify must be a session id string, got 5"),
+    ("enroll", "ab", "comparison 'c000001': enroll must be a list of two session id strings, "
+                     'got "ab"'),
+    ("enroll", ["a", "b", "c"], "comparison 'c000001': enroll must be a list of two session id "
+                                'strings, got ["a", "b", "c"]'),
+    ("enroll", ["a", 7], "comparison 'c000001': enroll must be a list of two session id strings, "
+                         'got ["a", 7]'),
+    ("id", 5, "comparisons[1]: id must be a string, got 5"),
+    ("enroll", ["x" * 50], "comparison 'c000001': enroll must be a list of two session id "
+                           'strings, got ["' + "x" * 38),
+])
+def test_comparison_list_requires_string_ids(tiny_generated, field, value, message):
+    clist, _ = build_comparisons(tiny_generated.validation, TaskKind.Tapping, seed=4)
+    obj = json.loads(comparison_list_to_json(clist))
+    obj["comparisons"][1][field] = value
+    with pytest.raises(SchemaViolation) as info:
+        comparison_list_from_json(json.dumps(obj))
+    assert str(info.value) == f"malformed comparison list: {message}"
+
+
 def test_key_file_roundtrip(tiny_generated):
     _, key = build_comparisons(tiny_generated.validation, TaskKind.Tapping, seed=4)
     assert key_file_from_json(key_file_to_json(key)) == key
