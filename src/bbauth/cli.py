@@ -7,7 +7,7 @@ mutates its inputs. Omitted paths default into $BBAUTH_DATA_DIR when
 that variable is set.
 
 Configuration files are flat `key = value` text ('#' starts a comment),
-keyed by flag destination (`batch_size`, `alpha`); explicit command-line
+keyed by flag destination (`epochs`, `alpha`); explicit command-line
 flags override file values, which override the defaults of the library's
 `RunConfig` and `GenConfig`. A key the command does not read is an error.
 """
@@ -303,13 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--comparisons", required=True)
     p.add_argument("--matcher", required=True, choices=MATCHERS)
     p.add_argument("--out", required=True, help="score CSV path")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--margin", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--dwt-length", dest="dwt_length", type=int, default=None)
-    p.add_argument("--dwt-width", dest="dwt_width", type=int, default=None)
+    p.add_argument("--epochs", type=int, default=None, help="siamese training epochs")
     p.set_defaults(handler=cmd_score, casts=_casts(p))
 
     p = sub.add_parser("grade", help="grade a score file against a key")

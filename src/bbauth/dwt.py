@@ -1,14 +1,15 @@
 """Wavelet image representation of sessions and a distance scorer over it.
 
-Each channel of each modality is resampled to a fixed length and
+Each channel of each modality is resampled to `IMAGE_LENGTH` points and
 decomposed by a single-level coif1 DWT under periodic extension (the
 filter taps are the constants `COIF1_DEC_LO` and `COIF1_DEC_HI`), the
 coefficient columns are reduced to exactly three by recursive pairwise
 averaging (the keystroke channel instead gains a third column as the
 mean of its two), each column is MinMax-scaled to [0,1] by
-:func:`preprocess.minmax_normalize`, and the three columns become the R/G/B planes
-of a per-modality strip. A session's image is the vertical
-concatenation of its modality strips in fixed order.
+:func:`preprocess.minmax_normalize`, and the three columns become the
+R/G/B planes of a per-modality strip `STRIP_WIDTH` pixels wide. A
+session's image is the vertical concatenation of its modality strips in
+fixed order.
 """
 
 from __future__ import annotations
@@ -41,6 +42,14 @@ COIF1_DEC_LO = math.sqrt(2.0) / 32.0 * np.array(
 )
 COIF1_DEC_HI = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0]) * COIF1_DEC_LO[::-1]
 COIF1_DEC_LO.flags.writeable = COIF1_DEC_HI.flags.writeable = False
+
+# Image geometry: the IMAGE_LENGTH / 2 coefficients of a resampled channel
+# tile a strip STRIP_WIDTH wide and _STRIP_HEIGHT high, one plane per
+# reduced column (R/G/B).
+IMAGE_LENGTH = 64
+STRIP_WIDTH = 8
+IMAGE_PLANES = 3
+_STRIP_HEIGHT = IMAGE_LENGTH // 2 // STRIP_WIDTH
 
 
 @dataclass(frozen=True)
@@ -85,17 +94,17 @@ def idwt_level1(pair: DwtPair) -> np.ndarray:
     return out
 
 
-def recursive_average(matrix, target: int = 3) -> np.ndarray:
-    """Reduce columns to `target` by repeated pairwise averaging.
+def recursive_average(matrix) -> np.ndarray:
+    """Reduce columns to `IMAGE_PLANES` by repeated pairwise averaging.
 
     One pass averages each column with the next except the last, which
     is carried over unchanged, shrinking the column count by one; the
-    pass repeats until `target` columns remain.
+    pass repeats until `IMAGE_PLANES` columns remain.
     """
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[1] < target:
-        raise TooFewColumns(f"need at least {target} columns")
-    while m.shape[1] > target:
+    if m.ndim != 2 or m.shape[1] < IMAGE_PLANES:
+        raise TooFewColumns(f"need at least {IMAGE_PLANES} columns")
+    while m.shape[1] > IMAGE_PLANES:
         m = np.hstack([(m[:, :-2] + m[:, 1:-1]) / 2.0, m[:, -1:]])
     return m
 
@@ -124,27 +133,6 @@ def task_modalities(task: TaskKind) -> tuple[ModalityKind, ...]:
 
 
 @dataclass(frozen=True)
-class DwtImageConfig:
-    """Resampling lengths and strip geometry for task images.
-
-    `length` is the per-channel resampling length (its half must be a
-    multiple of `width` so coefficient columns tile into strips).
-    """
-
-    length: int = 64
-    width: int = 8
-
-    def __post_init__(self) -> None:
-        half = -(-self.length // 2)
-        if self.length < 2 or self.width < 1 or half % self.width:
-            raise ValueError("ceil(length/2) must be a positive multiple of width")
-
-    @property
-    def strip_height(self) -> int:
-        return (-(-self.length // 2)) // self.width
-
-
-@dataclass(frozen=True)
 class ModalityImage:
     pixels: np.ndarray  # (height, width, 3), entries in [0, 1]
 
@@ -156,9 +144,8 @@ class ModalityImage:
             raise ValueError("pixel values must lie in [0, 1]")
 
 
-def task_image(session: Session, config: DwtImageConfig | None = None) -> ModalityImage:
+def task_image(session: Session) -> ModalityImage:
     """Render one session as a vertically concatenated modality image."""
-    config = config or DwtImageConfig()
     strips: list[np.ndarray] = []
     for modality in task_modalities(session.task):
         stream = session.stream(modality)
@@ -166,17 +153,15 @@ def task_image(session: Session, config: DwtImageConfig | None = None) -> Modali
             raise MissingModality(f"no {modality.value} stream")
         channels = _MODALITY_CHANNELS.get(modality, (COL_X, COL_Y, COL_Z))
         pairs = [
-            dwt_level1(resample_linear(stream[:, COL_T], stream[:, c], config.length)) for c in channels
+            dwt_level1(resample_linear(stream[:, COL_T], stream[:, c], IMAGE_LENGTH)) for c in channels
         ]
         if modality is ModalityKind.Keystroke:
             reduced = keystroke_third_channel(pairs[0])
         else:
             doubled = np.column_stack([col for p in pairs for col in (p.c_a, p.c_b)])
-            reduced = recursive_average(doubled, 3)
+            reduced = recursive_average(doubled)
         scaled = minmax_normalize(reduced)
-        h, w = config.strip_height, config.width
-        strip = np.stack([scaled[:, c].reshape(h, w) for c in range(3)], axis=-1)
-        strips.append(strip)
+        strips.append(scaled.reshape(_STRIP_HEIGHT, STRIP_WIDTH, IMAGE_PLANES))
     return ModalityImage(np.concatenate(strips, axis=0))
 
 

@@ -107,12 +107,16 @@ def degree_of_disorder(list_a: list[Ngram], list_b: list[Ngram]) -> float:
     return disorder / max_disorder
 
 
-def availability(enroll: NgramTable, verify: NgramTable, min_occurrences: int = 3) -> float:
+#: Combined (enroll + verify) occurrences an n-gram needs to count as available.
+MIN_OCCURRENCES = 3
+
+
+def availability(enroll: NgramTable, verify: NgramTable) -> float:
     """Fraction of shared, sufficiently frequent n-grams over all observed.
 
     An n-gram counts as available when it appears in both tables with a
     combined (enroll + verify) occurrence count of at least
-    `min_occurrences`.
+    `MIN_OCCURRENCES`.
     """
     union = set(enroll.entries) | set(verify.entries)
     if not union:
@@ -121,7 +125,7 @@ def availability(enroll: NgramTable, verify: NgramTable, min_occurrences: int = 
         g
         for g in enroll.entries
         if g in verify.entries
-        and enroll.entries[g].occurrences + verify.entries[g].occurrences >= min_occurrences
+        and enroll.entries[g].occurrences + verify.entries[g].occurrences >= MIN_OCCURRENCES
     ]
     return len(common) / len(union)
 

@@ -13,6 +13,9 @@ import numpy as np
 from .data import BACKGROUND_SENSORS, COL_T, COL_X, COL_Y, COL_Z, Session, TaskKind
 from .errors import EmptySeries, MissingModality
 
+#: Floor of every per-task resampling length.
+MIN_TARGET_LENGTH = 8
+
 
 def resample_linear(timestamps, values, target_len: int, channel: str = "signal") -> np.ndarray:
     """Resample one timestamped channel to `target_len` equally spaced points.
@@ -30,15 +33,20 @@ def resample_linear(timestamps, values, target_len: int, channel: str = "signal"
     return np.interp(np.linspace(t[0], t[-1], target_len), t, v)
 
 
+def scale_columns(matrix: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Map each column of a 2-D float array affinely so that `lo` goes to 0
+    and `hi` to 1; columns with `hi <= lo` map to 0.5."""
+    span = hi - lo
+    out = np.full_like(matrix, 0.5)
+    ok = span > 0
+    out[:, ok] = (matrix[:, ok] - lo[ok]) / span[ok]
+    return out
+
+
 def minmax_normalize(array) -> np.ndarray:
     """Map each column of a 2-D array to [0,1]; constant columns map to 0.5."""
     m = np.asarray(array, dtype=float)
-    lo = m.min(axis=0)
-    span = m.max(axis=0) - lo
-    out = np.full_like(m, 0.5)
-    ok = span > 0
-    out[:, ok] = (m[:, ok] - lo[ok]) / span[ok]
-    return out
+    return scale_columns(m, m.min(axis=0), m.max(axis=0))
 
 
 def stack_modalities(session: Session, task: TaskKind, per_modality_len: int) -> np.ndarray:
@@ -62,11 +70,12 @@ def stack_modalities(session: Session, task: TaskKind, per_modality_len: int) ->
     return minmax_normalize(np.column_stack(columns))
 
 
-def compute_target_lengths(sessions, minimum: int = 8) -> dict[TaskKind, int]:
+def compute_target_lengths(sessions) -> dict[TaskKind, int]:
     """Per-task resampling lengths from training data.
 
     Mean event count over all background-sensor streams of the task's
-    sessions, rounded to the nearest integer and floored at `minimum`.
+    sessions, rounded to the nearest integer and floored at
+    `MIN_TARGET_LENGTH`.
     """
     counts: dict[TaskKind, list[int]] = {task: [] for task in TaskKind}
     for s in sessions:
@@ -74,10 +83,5 @@ def compute_target_lengths(sessions, minimum: int = 8) -> dict[TaskKind, int]:
             n = len(s.stream(sensor))
             if n:
                 counts[s.task].append(n)
-    lengths: dict[TaskKind, int] = {}
-    for task, ns in counts.items():
-        if ns:
-            lengths[task] = max(minimum, round(float(np.mean(ns))))
-        else:
-            lengths[task] = minimum
-    return lengths
+    return {task: max(MIN_TARGET_LENGTH, round(float(np.mean(ns)))) if ns else MIN_TARGET_LENGTH
+            for task, ns in counts.items()}

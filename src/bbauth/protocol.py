@@ -358,28 +358,21 @@ def grade_report_from_json(text: str) -> GradeReport:
 _COLUMNS = ("Mixed AUC [%]", "Random AUC [%]", "Skilled AUC [%]")
 
 
+def _aucs(report: GradeReport) -> tuple[str, str, str]:
+    return f"{report.auc_mixed:.2f}", f"{report.auc_random:.2f}", f"{report.auc_skilled:.2f}"
+
+
+def _table(headers, rows) -> str:
+    """Left-aligned columns as wide as their widest cell, two spaces apart."""
+    widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(headers)]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(line, widths)) + "\n"
+                   for line in (headers, *rows))
+
+
 def grade_report_table(report: GradeReport) -> str:
-    values = (f"{report.auc_mixed:.2f}", f"{report.auc_random:.2f}", f"{report.auc_skilled:.2f}")
-    widths = [max(len(h), len(v)) for h, v in zip(_COLUMNS, values)]
-    header = "  ".join(h.ljust(w) for h, w in zip(_COLUMNS, widths))
-    row = "  ".join(v.ljust(w) for v, w in zip(values, widths))
-    return f"{header}\n{row}\n"
+    return _table(_COLUMNS, [_aucs(report)])
 
 
 def leaderboard_table(ordered: list[tuple[str, GradeReport]]) -> str:
-    headers = ("#", "Team", *_COLUMNS)
-    rows = [
-        (
-            str(position),
-            team,
-            f"{r.auc_mixed:.2f}",
-            f"{r.auc_random:.2f}",
-            f"{r.auc_skilled:.2f}",
-        )
-        for position, (team, r) in enumerate(ordered, start=1)
-    ]
-    widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+    rows = [(str(position), team, *_aucs(r)) for position, (team, r) in enumerate(ordered, start=1)]
+    return _table(("#", "Team", *_COLUMNS), rows)

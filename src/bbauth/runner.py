@@ -11,18 +11,18 @@ more genuine, so a comparison's score never depends on the rest of the list.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import DatasetSplit, Session, TaskKind
-from .dwt import DwtImageConfig, dwt_score, mean_image, task_image
+from .dwt import dwt_score, mean_image, task_image
 from .errors import BBAuthError, EmptySequence
 from .keystroke import enroll_profiles, keystroke_profile, keystroke_score
 from .preprocess import compute_target_lengths, stack_modalities
 from .protocol import ComparisonList
 from .siamese import TrainConfig, build_pair_set, forward, siamese_score, train
-from .softdtw import calibrate, softdtw_score
+from .softdtw import GAMMA, calibrate, softdtw_score
 from .touch import build_dtw_sequence, build_template, session_feature_vectors, template_score
 
 
@@ -31,21 +31,14 @@ class RunConfig:
     matcher: str
     task: TaskKind
     seed: int = TrainConfig.seed
-    # softdtw; 0.05 keeps the smoothed minimum sharp on [0,1]-scaled features
-    gamma: float = 0.05
-    # siamese
-    margin: float = TrainConfig.margin
-    epochs: int = TrainConfig.epochs
-    batch_size: int = TrainConfig.batch_size
-    learning_rate: float = TrainConfig.learning_rate
-    # dwt
-    dwt_length: int = DwtImageConfig.length
-    dwt_width: int = DwtImageConfig.width
+    epochs: int = TrainConfig.epochs  # siamese training
 
     def __post_init__(self) -> None:
         if self.matcher not in MATCHERS:
             raise ValueError(f"unknown matcher {self.matcher!r}")
         validate_matcher_task(self.matcher, self.task)
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
 
 
 def validate_matcher_task(matcher: str, task: TaskKind) -> None:
@@ -85,10 +78,10 @@ class _SwipeTemplateMatcher:
 
 class _DwtMatcher:
     def __init__(self, config: RunConfig, train_split):
-        self.image_config = DwtImageConfig(length=config.dwt_length, width=config.dwt_width)
+        pass
 
     def prepare(self, session: Session):
-        return task_image(session, self.image_config)
+        return task_image(session)
 
     def enroll(self, artifacts):
         return mean_image(artifacts)
@@ -99,9 +92,8 @@ class _DwtMatcher:
 
 class _SoftDtwMatcher:
     def __init__(self, config: RunConfig, train_split: DatasetSplit):
-        self.gamma = config.gamma
         self.task = config.task
-        self.calibration = calibrate(train_split, config.task, config.gamma)
+        self.calibration = calibrate(train_split, config.task, GAMMA)
 
     def prepare(self, session: Session) -> np.ndarray:
         sequence = build_dtw_sequence(session, self.task)
@@ -113,7 +105,7 @@ class _SoftDtwMatcher:
         return artifacts
 
     def verify(self, model, artifact) -> float:
-        return softdtw_score(model, artifact, self.gamma, self.calibration.tau)
+        return softdtw_score(model, artifact, GAMMA, self.calibration.tau)
 
 
 class _SiameseMatcher:
@@ -124,8 +116,7 @@ class _SiameseMatcher:
             if s.subject_id is not None:
                 by_subject.setdefault(s.subject_id, []).append(self._features(s))
         pairs = build_pair_set(by_subject, config.seed)
-        train_config = TrainConfig(**{f.name: getattr(config, f.name) for f in fields(TrainConfig)})
-        self.params = train(pairs, train_config).params
+        self.params = train(pairs, TrainConfig(epochs=config.epochs, seed=config.seed)).params
 
     def _features(self, session: Session) -> np.ndarray:
         return stack_modalities(session, session.task, self.target_len).reshape(-1)

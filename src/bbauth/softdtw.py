@@ -17,7 +17,12 @@ import numpy as np
 
 from .data import DatasetSplit, TaskKind
 from .errors import BBAuthError, DimensionMismatch, EmptySequence
+from .preprocess import scale_columns
 from .touch import build_dtw_sequence
+
+#: The softdtw matcher's temperature: 0.05 keeps the smoothed minimum sharp
+#: on [0,1]-scaled features.
+GAMMA = 0.05
 
 
 def _as_sequence(seq) -> np.ndarray:
@@ -93,11 +98,7 @@ class FeatureScale:
     hi: np.ndarray
 
     def apply(self, seq: np.ndarray) -> np.ndarray:
-        span = self.hi - self.lo
-        scaled = np.full_like(seq, 0.5)
-        ok = span > 0
-        scaled[:, ok] = (seq[:, ok] - self.lo[ok]) / span[ok]
-        return scaled
+        return scale_columns(seq, self.lo, self.hi)
 
 
 def fit_feature_scale(sequences: list[np.ndarray]) -> FeatureScale:
@@ -117,10 +118,10 @@ def softdtw_score(
     Takes prepared sequences: `build_dtw_sequence` rows MinMax-scaled by
     the `FeatureScale` that :func:`calibrate` fits on the training split,
     so a sequence's scaled rows never depend on the pair it is compared
-    in. A gamma small next to the per-step cost (see `RunConfig.gamma`)
-    then keeps d close to the hard alignment cost; a large gamma can
-    drive d below 0, where the floor maps the comparison to 1. `tau`
-    should come from the same calibration.
+    in. A gamma small next to the per-step cost (the matcher uses
+    :data:`GAMMA`) then keeps d close to the hard alignment cost; a
+    large gamma can drive d below 0, where the floor maps the comparison
+    to 1. `tau` should come from the same calibration.
     """
     d = min(soft_dtw(seq, verify_sequence, gamma) for seq in enroll_sequences)
     return math.exp(-max(d, 0.0) / tau)

@@ -136,11 +136,12 @@ def build_template(features: np.ndarray) -> SessionTemplate:
     return SessionTemplate(features.mean(axis=0), features.std(axis=0), len(features))
 
 
-def template_score(
-    template: SessionTemplate,
-    verify_features: np.ndarray,
-    std_floor: float = 1e-6,
-) -> float:
+#: Floor of a template's per-feature std in `template_score`, so a feature
+#: constant over the enrollment strokes does not divide by zero.
+STD_FLOOR = 1e-6
+
+
+def template_score(template: SessionTemplate, verify_features: np.ndarray) -> float:
     """exp(-mean |z|) of the verify mean vector against the template.
 
     Monotone decreasing in the distance; 1.0 when the verify mean equals
@@ -149,7 +150,7 @@ def template_score(
     if len(verify_features) == 0:
         raise NoStrokes("cannot score zero verify strokes")
     verify_mean = verify_features.mean(axis=0)
-    z = np.abs(verify_mean - template.mean) / np.maximum(template.std, std_floor)
+    z = np.abs(verify_mean - template.mean) / np.maximum(template.std, STD_FLOOR)
     return float(np.exp(-z.mean()))
 
 

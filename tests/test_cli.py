@@ -131,6 +131,22 @@ def test_score_matcher_task_mismatch(synth_dir, tmp_path, monkeypatch):
         assert code == 4
 
 
+@pytest.mark.parametrize("matcher", ["siamese", "dwt-distance"])
+def test_score_rejects_epochs_below_one(matcher, synth_dir, tmp_path, monkeypatch, capsys):
+    # rejected when the run config is built, before any split is parsed
+    monkeypatch.setattr(cli, "_load_split", lambda path: pytest.fail(f"parsed {path}"))
+    out = tmp_path / "x.csv"
+    for epochs in ("0", "-1"):
+        assert main([
+            "score", "--data", str(synth_dir / "evaluation.json"),
+            "--train", str(synth_dir / "train.json"),
+            "--comparisons", str(synth_dir / "comparisons_evaluation_tapping.json"),
+            "--matcher", matcher, "--out", str(out), "--epochs", epochs,
+        ]) == 4
+        assert "epochs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("matcher, task", FAMILY_TASKS, ids=[m for m, _ in FAMILY_TASKS])
 def test_score_defaults_match_library(synth_dir, tmp_path, matcher, task):
     comparisons = synth_dir / f"comparisons_evaluation_{task.value}.json"
@@ -284,15 +300,16 @@ def test_config_file_unknown_key_exit_4(synth_dir, tmp_path, capsys):
     score = ["score", "--data", str(synth_dir / "evaluation.json"),
              "--comparisons", str(synth_dir / "comparisons_evaluation_tapping.json"),
              "--matcher", "softdtw", "--out", str(tmp_path / "s.csv")]
-    for key in ("gama", "threads", "tau", "top_k", "target_len"):
+    for key in ("gama", "threads", "tau", "top_k", "target_len", "gamma", "margin", "batch_size",
+                "learning_rate", "dwt_length", "dwt_width"):
         config = tmp_path / f"{key}.cfg"
-        config.write_text(f"# tuning\ngamma = 0.05\n{key} = 4\n")
+        config.write_text(f"# tuning\nepochs = 1\n{key} = 4\n")
         capsys.readouterr()
         assert main([*score, "--config", str(config)]) == 4
         assert f"{config}:3: unknown key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
     config = tmp_path / "shared.cfg"
-    config.write_text("seed = 1\ndwt_length = 32\n")  # comparisons reads only seed
+    config.write_text("seed = 1\nepochs = 1\n")  # comparisons reads only seed
     assert main([
         "comparisons", "--data", str(synth_dir / "validation.json"), "--task", "gallery",
         "--config", str(config), "--out-list", str(tmp_path / "a.json"),
@@ -306,8 +323,10 @@ def test_removed_flags_are_usage_errors(synth_dir, tmp_path, capsys):
              "--matcher", "softdtw", "--out", str(tmp_path / "s.csv")]
     comparisons = ["comparisons", "--data", str(synth_dir / "validation.json"), "--task", "gallery",
                    "--out-list", str(tmp_path / "a.json"), "--out-key", str(tmp_path / "k.json")]
-    for argv, flag in ((score, "--tau"), (score, "--top-k"), (score, "--target-len"),
-                       (comparisons, "--policy"), (comparisons, "--sample-k")):
+    removed = [(score, flag) for flag in ("--tau", "--top-k", "--target-len", "--gamma", "--margin",
+                                          "--batch-size", "--learning-rate", "--dwt-length",
+                                          "--dwt-width")]
+    for argv, flag in (*removed, (comparisons, "--policy"), (comparisons, "--sample-k")):
         with pytest.raises(SystemExit) as exc:
             main([*argv, flag, "1"])
         assert exc.value.code == 2

@@ -7,7 +7,6 @@ from bbauth.data import ModalityKind, Session, SessionRole, TaskKind, make_strea
 from bbauth.dwt import (
     COIF1_DEC_HI,
     COIF1_DEC_LO,
-    DwtImageConfig,
     DwtPair,
     ModalityImage,
     dwt_level1,
@@ -155,10 +154,9 @@ def _constant_session(task=TaskKind.Tapping):
 
 
 def test_task_image_shape_and_determinism(tiny_generated):
-    config = DwtImageConfig(length=64, width=8)
     session = tiny_generated.evaluation.sessions_for(TaskKind.Keystroke)[0]
-    image1 = task_image(session, config)
-    image2 = task_image(session, config)
+    image1 = task_image(session)
+    image2 = task_image(session)
     # 6 modality strips of ceil(64/2)/8 = 4 rows each
     assert image1.pixels.shape == (24, 8, 3)
     assert np.array_equal(image1.pixels, image2.pixels)
@@ -166,7 +164,7 @@ def test_task_image_shape_and_determinism(tiny_generated):
 
 
 def test_task_image_constant_session_is_midgray():
-    image = task_image(_constant_session(), DwtImageConfig(length=16, width=4))
+    image = task_image(_constant_session())
     assert np.allclose(image.pixels, 0.5)
 
 
@@ -176,16 +174,11 @@ def test_task_image_missing_modality():
     del streams[ModalityKind.Gravity]
     broken = Session("s", "d", session.task, session.role, streams, subject_id="u")
     with pytest.raises(MissingModality, match="no gravity stream"):
-        task_image(broken, DwtImageConfig(length=16, width=4))
-
-
-def test_image_config_validation():
-    with pytest.raises(ValueError):
-        DwtImageConfig(length=10, width=4)  # ceil(10/2)=5 not divisible by 4
+        task_image(broken)
 
 
 def test_dwt_score_identical():
-    image = task_image(_constant_session(), DwtImageConfig(length=16, width=4))
+    image = task_image(_constant_session())
     assert dwt_score(mean_image([image]), image) == 1.0
 
 

@@ -282,6 +282,20 @@ def test_rank_empty():
         rank([])
 
 
+def test_tables_pad_every_column_to_its_widest_cell():
+    # the exact text `bbauth grade` and `bbauth report` print
+    assert grade_report_table(_report(66.37, 64.77, 7.9)) == (
+        "Mixed AUC [%]  Random AUC [%]  Skilled AUC [%]\n"
+        "66.37          64.77           7.90           \n"
+    )
+    board = rank([("keystroke-ngram", _report(96.774, 98.88, 65.04)), ("b", _report(100.0, 5.0, 0.0))])
+    assert leaderboard_table(board) == (
+        "#  Team             Mixed AUC [%]  Random AUC [%]  Skilled AUC [%]\n"
+        "1  b                100.00         5.00            0.00           \n"
+        "2  keystroke-ngram  96.77          98.88           65.04          \n"
+    )
+
+
 # --- file formats --------------------------------------------------------------
 
 def test_comparison_list_roundtrip(tiny_generated):

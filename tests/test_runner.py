@@ -19,6 +19,13 @@ def test_run_config_rejects_keystroke_matcher_elsewhere():
         RunConfig("no-such-matcher", TaskKind.Tapping)
 
 
+def test_run_config_rejects_epochs_below_one():
+    for matcher in MATCHERS:  # every family, trained or not
+        task = TaskKind.Keystroke if matcher == "keystroke-ngram" else TaskKind.Tapping
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            RunConfig(matcher, task, epochs=0)
+
+
 def test_every_accepted_matcher_task_pair_scores(tiny_generated):
     rejected = []
     for matcher in MATCHERS:
