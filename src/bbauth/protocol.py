@@ -364,7 +364,7 @@ def _aucs(report: GradeReport) -> tuple[str, str, str]:
 
 def _table(headers, rows) -> str:
     """Left-aligned columns as wide as their widest cell, two spaces apart."""
-    widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(headers)]
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
     return "".join("  ".join(c.ljust(w) for c, w in zip(line, widths)) + "\n"
                    for line in (headers, *rows))
 

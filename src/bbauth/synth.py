@@ -224,16 +224,41 @@ def _keystroke_stream(user: UserProfile, rng: np.random.Generator) -> np.ndarray
     return make_stream(ModalityKind.Keystroke, np.column_stack([times, codes]))
 
 
+def _round5(values) -> np.ndarray:
+    """`round(v, 5)` of every element of `values`, bitwise, as a float64 array.
+
+    `round` takes k as the half-even rounding of the exact product v * 1e5
+    and returns the double nearest k * 1e-5; for exact doubles k and 1e5
+    that is the IEEE quotient k / 1e5. Here k = rint(s) for s = v * 1e5
+    rounded, which can differ from `round`'s k only where s itself is a
+    half-integer: a half-integer strictly between the exact product and s
+    would be a double nearer the product than s is. Those elements, and
+    those with |s| >= 2**52 (s is then an integer or infinite), go
+    through `round`.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = values * 1e5
+        k = np.rint(scaled)
+        unsure = (np.abs(scaled) >= 2.0**52) | (np.abs(scaled - k) == 0.5)
+    rounded = k / 1e5
+    if unsure.any():
+        rounded[unsure] = [round(v, 5) for v in values[unsure].tolist()]
+    return rounded
+
+
 def _swipe_stream(
     user: UserProfile, device: DeviceProfile, rng: np.random.Generator, vertical: bool
 ) -> np.ndarray:
-    columns: tuple[list, ...] = ([], [], [], [])  # t, x, y, action
+    times: list[int] = []
+    points: list[np.ndarray] = []  # (n_pts, 2) x, y per swipe
+    actions: list[int] = []
     t = 400.0 + 300.0 * rng.random()
     for swipe_idx in range(_SWIPES_PER_SESSION):
         speed = max(rng.normal(user.swipe[0], user.swipe_std[0]), 3e-4)
         bow = rng.normal(user.swipe[1], user.swipe_std[1])
-        length = float(np.clip(rng.normal(user.swipe[2], user.swipe_std[2]), 0.15, 0.8))
-        lane = float(np.clip(rng.normal(user.swipe[3], user.swipe_std[3]), 0.1, 0.9))
+        length = min(max(rng.normal(user.swipe[2], user.swipe_std[2]), 0.15), 0.8)
+        lane = min(max(rng.normal(user.swipe[3], user.swipe_std[3]), 0.1), 0.9)
         if vertical:  # reading scrolls upward
             start = np.array([lane, 0.5 + length / 2])
             end = np.array([lane, 0.5 - length / 2])
@@ -248,35 +273,35 @@ def _swipe_stream(
         u = np.linspace(0.0, 1.0, n_pts)[:, None]
         pts = (1 - u) ** 2 * start + 2 * u * (1 - u) * control + u**2 * end
         pts += 0.004 * rng.standard_normal(pts.shape)
-        pts = np.clip(pts, 0.0, 1.0)
+        points.append(np.clip(pts, 0.0, 1.0))
         duration = length / speed
         step = duration / (n_pts - 1)
-        xs = pts[:, 0].tolist()
-        ys = pts[:, 1].tolist()
-        for i in range(n_pts):
-            columns[0].append(int(t))
-            columns[1].append(round(xs[i], 5))
-            columns[2].append(round(ys[i], 5))
-            columns[3].append(0 if i == 0 else (1 if i == n_pts - 1 else 2))
-            if i < n_pts - 1:
-                t += step * (1.0 + device.jitter * rng.uniform(-1.0, 1.0))
+        for jitter in rng.uniform(-1.0, 1.0, size=n_pts - 1).tolist():
+            times.append(int(t))
+            t += step * (1.0 + device.jitter * jitter)
+        times.append(int(t))
+        actions += [0, *[2] * (n_pts - 2), 1]
         t += rng.uniform(280.0, 700.0)
-    return make_stream(ModalityKind.Touch, np.column_stack(columns))
+    return make_stream(
+        ModalityKind.Touch, np.column_stack([times, _round5(np.vstack(points)), actions])
+    )
 
 
 def _tap_stream(user: UserProfile, rng: np.random.Generator) -> np.ndarray:
-    columns: tuple[list, ...] = ([], [], [], [])  # t, x, y, action
+    times: list[int] = []
+    positions: list[tuple[float, float]] = []
     t = 400.0 + 300.0 * rng.random()
     for _ in range(_TAPS_PER_SESSION):
-        x = round(float(np.clip(rng.normal(user.tap[2], user.tap_std[2]), 0.0, 1.0)), 5)
-        y = round(float(np.clip(rng.normal(user.tap[3], user.tap_std[3]), 0.0, 1.0)), 5)
+        x = min(max(rng.normal(user.tap[2], user.tap_std[2]), 0.0), 1.0)
+        y = min(max(rng.normal(user.tap[3], user.tap_std[3]), 0.0), 1.0)
         hold = max(rng.normal(user.tap[0], user.tap_std[0]), 25.0)
-        columns[0].extend((int(t), int(t + hold)))
-        columns[1].extend((x, x))
-        columns[2].extend((y, y))
-        columns[3].extend((0, 1))
+        times += (int(t), int(t + hold))
+        positions += ((x, y), (x, y))
         t += hold + max(rng.normal(user.tap[1], user.tap_std[1]), 40.0)
-    return make_stream(ModalityKind.Touch, np.column_stack(columns))
+    actions = [0, 1] * _TAPS_PER_SESSION
+    return make_stream(
+        ModalityKind.Touch, np.column_stack([times, _round5(positions), actions])
+    )
 
 
 def _sensor_streams(
@@ -294,8 +319,8 @@ def _sensor_streams(
     for s_idx, sensor in enumerate(BACKGROUND_SENSORS):
         amp = _SENSOR_AMP[sensor]
         base = _SENSOR_BASE[sensor]
-        ratio = float(np.clip(user.sway_ratio[s_idx], 0.05, 0.95))
-        rho = float(np.clip(user.smooth[s_idx], 0.0, 0.95))
+        ratio = min(max(float(user.sway_ratio[s_idx]), 0.05), 0.95)
+        rho = min(max(float(user.smooth[s_idx]), 0.0), 0.95)
         axes = []
         for axis in range(3):
             sway = np.sin(
@@ -303,16 +328,17 @@ def _sensor_streams(
                 + user.sway_phase[s_idx]
                 + axis * 2 * np.pi / 3
             )
-            noise = np.empty_like(seconds)
             innov = rng.standard_normal(seconds.size) * np.sqrt(1 - rho * rho)
             value = rng.standard_normal()
-            for i in range(seconds.size):
-                value = rho * value + innov[i]
-                noise[i] = value
-            signal = base[axis] + amp * (ratio * sway + (1 - ratio) * noise)
-            values = device.gain[s_idx] * signal + device.bias[s_idx, axis]
-            axes.append([round(v, 5) for v in values.tolist()])
-        streams[sensor] = make_stream(sensor, np.column_stack([np.trunc(times), *axes]))
+            noise = []  # AR(1) over Python floats: same doubles, no numpy scalars
+            for e in innov.tolist():
+                value = rho * value + e
+                noise.append(value)
+            signal = base[axis] + amp * (ratio * sway + (1 - ratio) * np.array(noise))
+            axes.append(device.gain[s_idx] * signal + device.bias[s_idx, axis])
+        streams[sensor] = make_stream(
+            sensor, np.column_stack([np.trunc(times), _round5(np.column_stack(axes))])
+        )
     return streams
 
 

@@ -296,6 +296,10 @@ def test_tables_pad_every_column_to_its_widest_cell():
     )
 
 
+def test_leaderboard_table_empty_is_header_only():
+    assert leaderboard_table([]) == "#  Team  Mixed AUC [%]  Random AUC [%]  Skilled AUC [%]\n"
+
+
 # --- file formats --------------------------------------------------------------
 
 def test_comparison_list_roundtrip(tiny_generated):

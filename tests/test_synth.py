@@ -1,10 +1,16 @@
+import hashlib
+import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bbauth.data import (
+    BACKGROUND_SENSORS,
     COL_ACTION,
     COL_X,
     COL_Y,
@@ -12,6 +18,7 @@ from bbauth.data import (
     SessionRole,
     SplitKind,
     TaskKind,
+    make_stream,
     parse_dataset,
     serialize_dataset,
     validate_session,
@@ -21,7 +28,15 @@ from bbauth.keystroke import extract_ngrams
 from bbauth.protocol import grade
 from bbauth.runner import RunConfig, score_comparisons
 from bbauth.synth import (
+    _SENSOR_AMP,
+    _SENSOR_BASE,
+    _SWIPES_PER_SESSION,
+    _TAPS_PER_SESSION,
     GenConfig,
+    _round5,
+    _sensor_streams,
+    _swipe_stream,
+    _tap_stream,
     blend_profiles,
     generate_dataset,
     generate_session,
@@ -50,6 +65,37 @@ def test_generation_deterministic(tiny_generated):
     assert serialize_dataset(again.evaluation) == serialize_dataset(tiny_generated.evaluation)
     assert again.keys == tiny_generated.keys
     assert again.manifest == tiny_generated.manifest
+
+
+# sha256 of `serialize_dataset` per split, recorded from the per-value
+# (scalar) generator; any change to the generated bytes fails here
+_GOLDEN_SPLITS = [
+    (
+        GenConfig(n_users=4, n_train_users=2, n_validation_users=2, master_seed=5),
+        {
+            "train": "16e3ef0ac88d55934d203fdde0d31136815f68497a0a01def22054c067bbcb09",
+            "validation": "407dc507a07ffbced7ae1852c4e017d4c8c6e4bed073230bac482abc8a62ff22",
+            "evaluation": "6c1d3654cc55ae6aff6135d26a035b5ab1731ce26682cb42c8a36e250779dc9a",
+        },
+    ),
+    (
+        GenConfig(n_users=4, n_train_users=2, n_validation_users=2, master_seed=5,
+                  sigma_between=1.3, imitation_alpha=0.8),
+        {
+            "train": "bd2be30539f9dc939358e97d7147a2f2e2ea89847f428f3b6fe9d881502886c2",
+            "validation": "bb0d3d2219af0f007783fc5e0b7aca49fb36b5292f6a58854292aa563d49703b",
+            "evaluation": "f67f005d415bd85471e91b8b0af4b5739db6c3b16e8006808d873aca7c02fbe2",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("config, digests", _GOLDEN_SPLITS, ids=["4-users", "4-users-hard"])
+def test_generated_splits_match_golden_digests(config, digests):
+    generated = generate_dataset(config)
+    for name, digest in digests.items():
+        text = serialize_dataset(getattr(generated, name))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
 def test_different_seeds_differ(tiny_generated):
@@ -196,3 +242,175 @@ def test_separability_monotone_in_sigma_ratio():
             aucs.append(grade(run.scores, key).auc_mixed)
         mean_auc.append(float(np.mean(aucs)))
     assert mean_auc[0] < mean_auc[1] < mean_auc[2]
+
+
+# --- vectorised synthesis against the per-value reference --------------------
+
+def _tie_neighbour(m: int, steps: int) -> float:
+    """The double `steps` doubles away from (m + 0.5) / 1e5, whose product
+    with 1e5 lies on or next to a half-integer."""
+    value = (m + 0.5) / 1e5
+    for _ in range(abs(steps)):
+        value = float(np.nextafter(value, math.copysign(math.inf, steps)))
+    return value
+
+
+_ROUND5_VALUES = st.one_of(
+    st.floats(),  # any double: ±0, ±inf, NaN, subnormals, up to ±1.8e308
+    st.floats(min_value=-1e12, max_value=1e12),
+    st.floats(min_value=2**52 / 1e5, max_value=1e12),  # the product is >= 2**52
+    st.integers(-(2**40), 2**40).map(lambda j: (2 * j + 1) / 64),  # exact ties, j/64 with j odd
+    st.builds(_tie_neighbour, st.integers(-(10**12), 10**12), st.integers(-3, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ROUND5_VALUES, max_size=40))
+@example([0.0, -0.0, 0.015625, -0.046875, 2223.560055, -8644.791275,
+          2**52 / 1e5, 400353221665.66235, -1e12, 1e304, math.inf, -math.inf, math.nan])
+def test_round5_equals_builtin_round_bitwise(values):
+    got = _round5(np.array(values, dtype=np.float64)).tolist()
+    assert [v.hex() for v in got] == [round(v, 5).hex() for v in values]
+
+
+def _reference_swipe_stream(user, device, rng, vertical):
+    """The per-value swipe synthesis: scalar jitter draws, `round` per coordinate."""
+    columns = ([], [], [], [])
+    t = 400.0 + 300.0 * rng.random()
+    for swipe_idx in range(_SWIPES_PER_SESSION):
+        speed = max(rng.normal(user.swipe[0], user.swipe_std[0]), 3e-4)
+        bow = rng.normal(user.swipe[1], user.swipe_std[1])
+        length = float(np.clip(rng.normal(user.swipe[2], user.swipe_std[2]), 0.15, 0.8))
+        lane = float(np.clip(rng.normal(user.swipe[3], user.swipe_std[3]), 0.1, 0.9))
+        if vertical:
+            start = np.array([lane, 0.5 + length / 2])
+            end = np.array([lane, 0.5 - length / 2])
+            perp = np.array([1.0, 0.0])
+        else:
+            direction = -1.0 if swipe_idx % 2 else 1.0
+            start = np.array([0.5 - direction * length / 2, lane])
+            end = np.array([0.5 + direction * length / 2, lane])
+            perp = np.array([0.0, 1.0])
+        control = (start + end) / 2 + bow * perp
+        n_pts = int(rng.integers(8, 14))
+        u = np.linspace(0.0, 1.0, n_pts)[:, None]
+        pts = (1 - u) ** 2 * start + 2 * u * (1 - u) * control + u**2 * end
+        pts += 0.004 * rng.standard_normal(pts.shape)
+        pts = np.clip(pts, 0.0, 1.0)
+        duration = length / speed
+        step = duration / (n_pts - 1)
+        xs = pts[:, 0].tolist()
+        ys = pts[:, 1].tolist()
+        for i in range(n_pts):
+            columns[0].append(int(t))
+            columns[1].append(round(xs[i], 5))
+            columns[2].append(round(ys[i], 5))
+            columns[3].append(0 if i == 0 else (1 if i == n_pts - 1 else 2))
+            if i < n_pts - 1:
+                t += step * (1.0 + device.jitter * rng.uniform(-1.0, 1.0))
+        t += rng.uniform(280.0, 700.0)
+    return make_stream(ModalityKind.Touch, np.column_stack(columns))
+
+
+def _reference_tap_stream(user, rng):
+    columns = ([], [], [], [])
+    t = 400.0 + 300.0 * rng.random()
+    for _ in range(_TAPS_PER_SESSION):
+        x = round(float(np.clip(rng.normal(user.tap[2], user.tap_std[2]), 0.0, 1.0)), 5)
+        y = round(float(np.clip(rng.normal(user.tap[3], user.tap_std[3]), 0.0, 1.0)), 5)
+        hold = max(rng.normal(user.tap[0], user.tap_std[0]), 25.0)
+        columns[0].extend((int(t), int(t + hold)))
+        columns[1].extend((x, x))
+        columns[2].extend((y, y))
+        columns[3].extend((0, 1))
+        t += hold + max(rng.normal(user.tap[1], user.tap_std[1]), 40.0)
+    return make_stream(ModalityKind.Touch, np.column_stack(columns))
+
+
+def _reference_sensor_streams(user, device, rng, duration_ms):
+    """The per-value sensor synthesis: numpy-scalar AR(1) loop, `round` per value."""
+    n_max = int(duration_ms / (device.period_ms * (1 - device.jitter))) + 2
+    deltas = device.period_ms * (1.0 + device.jitter * rng.uniform(-1.0, 1.0, size=n_max))
+    times = np.cumsum(deltas)
+    times = times[times <= duration_ms]
+    seconds = times / 1000.0
+    streams = {}
+    for s_idx, sensor in enumerate(BACKGROUND_SENSORS):
+        amp = _SENSOR_AMP[sensor]
+        base = _SENSOR_BASE[sensor]
+        ratio = float(np.clip(user.sway_ratio[s_idx], 0.05, 0.95))
+        rho = float(np.clip(user.smooth[s_idx], 0.0, 0.95))
+        axes = []
+        for axis in range(3):
+            sway = np.sin(
+                2 * np.pi * user.sway_freq[s_idx] * seconds
+                + user.sway_phase[s_idx]
+                + axis * 2 * np.pi / 3
+            )
+            noise = np.empty_like(seconds)
+            innov = rng.standard_normal(seconds.size) * np.sqrt(1 - rho * rho)
+            value = rng.standard_normal()
+            for i in range(seconds.size):
+                value = rho * value + innov[i]
+                noise[i] = value
+            signal = base[axis] + amp * (ratio * sway + (1 - ratio) * noise)
+            values = device.gain[s_idx] * signal + device.bias[s_idx, axis]
+            axes.append([round(v, 5) for v in values.tolist()])
+        streams[sensor] = make_stream(sensor, np.column_stack([np.trunc(times), *axes]))
+    return streams
+
+
+@st.composite
+def _profiles(draw):
+    """A user (or a skilled impostor's blend) and a device, plus a session seed."""
+    config = GenConfig(
+        sigma_between=draw(st.floats(0.2, 8.0)),
+        sigma_within=draw(st.floats(0.2, 3.0)),
+        device_bias_beta=draw(st.floats(0.0, 1.0)),
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    split = draw(st.sampled_from(SplitKind))
+    user = sample_user_profile(config, split, draw(st.integers(0, 99)))
+    if draw(st.booleans()):
+        victim = sample_user_profile(config, split, draw(st.integers(0, 99)))
+        user = blend_profiles(user, victim, draw(st.floats(0.0, 1.0)))
+    device = replace(
+        sample_device_profile(config, split, draw(st.integers(0, 99))),
+        period_ms=draw(st.floats(20.0, 100.0)),
+        jitter=draw(st.floats(0.0, 0.5)),
+    )
+    return user, device, draw(st.integers(0, 2**64 - 1))
+
+
+def _assert_same_stream(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def _rngs(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_profiles(), st.one_of(st.floats(0.0, 300.0), st.floats(0.0, 20000.0)))
+def test_sensor_streams_bitwise_equal_to_reference(profiles, duration_ms):
+    user, device, seed = profiles
+    rng, reference_rng = _rngs(seed)
+    got = _sensor_streams(user, device, rng, duration_ms)
+    expected = _reference_sensor_streams(user, device, reference_rng, duration_ms)
+    assert list(got) == list(expected)
+    for sensor, stream in expected.items():
+        _assert_same_stream(got[sensor], stream)
+    # the same draws in the same order leave both generators in one state
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(_profiles(), st.booleans())
+def test_touch_streams_bitwise_equal_to_reference(profiles, vertical):
+    user, device, seed = profiles
+    rng, reference_rng = _rngs(seed)
+    _assert_same_stream(_swipe_stream(user, device, rng, vertical),
+                        _reference_swipe_stream(user, device, reference_rng, vertical))
+    _assert_same_stream(_tap_stream(user, rng), _reference_tap_stream(user, reference_rng))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
